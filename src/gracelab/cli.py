@@ -3,7 +3,8 @@
 Output is deterministic: identical arguments (including --seed) produce
 byte-identical output.  Exit status 0 means every check passed, 1 means a
 verifiable identity failed and the counterexample was emitted, 2 means a
-usage error (unknown subcommand, malformed graph text, out-of-range n).
+usage error (unknown subcommand, malformed graph text, out-of-range n,
+negative --limit or --seed).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ MAX_N = {
     "grl": 10,
     "gammas": 12,
     "sp": 7,
-    "tau": 7,
+    "tau": 9,
     "genfun-f": 9,
     "genfun-p": 10,
     "genfun-oracle": 7,
@@ -65,6 +66,11 @@ def _parse_graph(text: str) -> digraph_mod.FunctionalDigraph:
 def _check_limit(args) -> None:
     if getattr(args, "limit", None) is not None and args.limit < 0:
         raise UsageError(f"--limit must be non-negative, got {args.limit}")
+
+
+def _check_seed(args) -> None:
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        raise UsageError(f"{args.command}: --seed must be non-negative, got {args.seed}")
 
 
 def _poly_json(poly: SparsePoly) -> str:
@@ -473,6 +479,7 @@ def run(argv: Sequence[str]) -> int:
     args = parser.parse_args(argv)
     try:
         _check_limit(args)
+        _check_seed(args)
         code, doc, lines = args.handler(args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)

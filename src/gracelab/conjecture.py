@@ -16,6 +16,7 @@ from gracelab.digraph import (
     FunctionalDigraph,
     Permutation,
     edge_labels,
+    functional_trees,
     is_functional_tree,
     relabel,
 )
@@ -64,15 +65,14 @@ def _orbit(values: tuple[int, ...]) -> set[tuple[int, ...]]:
 def tree_classes(n: int) -> list[TreeClass]:
     """One canonical representative per conjugation orbit of functional trees.
 
-    Trees are enumerated by the n^n scan; each unseen tree contributes its
-    whole orbit at once, so canonicalization costs n! per class, not per tree.
+    Trees come from the pruned search digraph.functional_trees; each unseen
+    tree contributes its whole orbit at once, so canonicalization costs n!
+    per class, not per tree.
     """
     seen: set[tuple[int, ...]] = set()
     classes: list[TreeClass] = []
-    for values in itertools.product(range(n), repeat=n):
+    for values in functional_trees(n):
         if values in seen:
-            continue
-        if not is_functional_tree(FunctionalDigraph(values)):
             continue
         orbit = _orbit(values)
         seen.update(orbit)

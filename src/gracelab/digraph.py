@@ -20,6 +20,8 @@ __all__ = [
     "all_value_tables",
     "complement",
     "edge_labels",
+    "functional_trees",
+    "graceful_tables",
     "grl_set",
     "is_graceful",
     "is_gracefully_labeled",
@@ -137,7 +139,7 @@ def edge_labels(g: FunctionalDigraph) -> tuple[int, ...]:
 
 def _labels_are_graceful(values: tuple[int, ...]) -> bool:
     # Bitmask check that {|f(i)-i|} = {0, ..., n-1}; cheap enough to sit in
-    # the n^n scan loops of the oracle modules.
+    # the n! conjugation scan loops.
     seen = 0
     for i, v in enumerate(values):
         bit = 1 << abs(v - i)
@@ -163,6 +165,96 @@ def is_functional_tree(g: FunctionalDigraph) -> bool:
             break
         image = {g.values[v] for v in image}
     return len(image) == 1
+
+
+# --- pruned oracle generators ----------------------------------------------
+#
+# Both generators assign f(0), f(1), ... in turn, trying values in increasing
+# order, so they yield exactly the tables that the itertools.product filter
+# would keep, in the same lexicographic order.  They prune on the definitions
+# alone (the label bitmask; the cycle structure of a tree), never on the
+# gamma/sign-pattern theory, so the oracles built on them stay independent of
+# the fast paths they check.
+
+
+def functional_trees(n: int) -> Iterator[tuple[int, ...]]:
+    """Yield the n^(n-1) functional-tree value tables on Z_n, lexicographically.
+
+    An assignment f(i) = v is pruned when it adds a second loop, or when the
+    path v, f(v), f(f(v)), ... through assigned vertices returns to i (a
+    cycle of length >= 2).  A complete table with no such cycle and one loop
+    is a tree, and every unpruned partial table extends to one, so the search
+    has no dead ends.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    values = [0] * n
+    start = [0] * n  # next value to try at each position
+    root = -1  # the vertex carrying the loop, once one is assigned
+    i = 0
+    while i >= 0:
+        if i == n:
+            yield tuple(values)
+            i -= 1
+            continue
+        if root == i:
+            root = -1
+        v = start[i]
+        while v < n:
+            if v == i:
+                if root < 0:
+                    break
+            else:
+                w = v
+                while w < i and values[w] != w:
+                    w = values[w]
+                if w != i:
+                    break
+            v += 1
+        if v == n:
+            i -= 1
+            continue
+        values[i] = v
+        if v == i:
+            root = i
+        start[i] = v + 1
+        i += 1
+        if i < n:
+            start[i] = 0
+
+
+def graceful_tables(n: int, fix0: bool = False) -> Iterator[tuple[int, ...]]:
+    """Yield the gracefully labeled value tables on Z_n, lexicographically.
+
+    An assignment f(i) = v is pruned when the label |v - i| is already used,
+    tracked in a bitmask.  With fix0, only tables with f(0) = 0 are searched.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    values = [0] * n
+    start = [0] * n
+    used = 0
+    i = 0
+    while i >= 0:
+        if i == n:
+            yield tuple(values)
+            i -= 1
+            continue
+        if start[i]:  # coming back: release the label of the last try
+            used &= ~(1 << abs(values[i] - i))
+        v = start[i]
+        end = 1 if fix0 and i == 0 else n
+        while v < end and used >> abs(v - i) & 1:
+            v += 1
+        if v >= end:
+            i -= 1
+            continue
+        values[i] = v
+        used |= 1 << abs(v - i)
+        start[i] = v + 1
+        i += 1
+        if i < n:
+            start[i] = 0
 
 
 def relabel(g: FunctionalDigraph, s: Permutation) -> FunctionalDigraph:

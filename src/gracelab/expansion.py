@@ -19,7 +19,7 @@ from typing import Sequence
 from gracelab.digraph import (
     FunctionalDigraph,
     Permutation,
-    _labels_are_graceful,
+    graceful_tables,
     is_gracefully_labeled,
 )
 
@@ -228,7 +228,8 @@ def sp_sum_identity_check(n: int, matrix: Sequence[Sequence[int]]) -> SpSumCheck
 
     left  = sum over enumerate_sp(n) of prod_i A[i, i+g(i)]
     right = sum over gracefully labeled f with f(0) = 0 of prod_i A[i, f(i)],
-    the right side scanned directly over the n^(n-1) candidate tables.
+    the right side enumerated by the label-bitmask search
+    digraph.graceful_tables(n, fix0=True).
     """
     left = 0
     for sp in enumerate_sp(n):
@@ -237,13 +238,11 @@ def sp_sum_identity_check(n: int, matrix: Sequence[Sequence[int]]) -> SpSumCheck
             term *= matrix[i][i + sp.g(i)]
         left += term
     right = 0
-    for rest in itertools.product(range(n), repeat=n - 1):
-        values = (0,) + rest
-        if _labels_are_graceful(values):
-            term = 1
-            for i, v in enumerate(values):
-                term *= matrix[i][v]
-            right += term
+    for values in graceful_tables(n, fix0=True):
+        term = 1
+        for i, v in enumerate(values):
+            term *= matrix[i][v]
+        right += term
     return SpSumCheck(left, right)
 
 
@@ -262,12 +261,11 @@ def tau_bruteforce(n: int) -> int:
 
     A vertex v is isolated when f(v) = v and no other vertex maps to v;
     a gracefully labeled table has exactly one fixed point, so only that
-    vertex can be isolated.
+    vertex can be isolated.  The tables come from the label-bitmask search
+    digraph.graceful_tables, not from the gamma expansion.
     """
     count = 0
-    for values in itertools.product(range(n), repeat=n):
-        if not _labels_are_graceful(values):
-            continue
+    for values in graceful_tables(n):
         fixed = next(i for i, v in enumerate(values) if v == i)
         if any(v == fixed for i, v in enumerate(values) if i != fixed):
             count += 1

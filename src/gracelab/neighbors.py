@@ -57,7 +57,8 @@ def expansion_family(base: FunctionalDigraph) -> ExpansionFamily:
     For each sigma with H = sigma f sigma^(-1) gracefully labeled, H itself
     decomposes as id + (-1)^p * gamma, and conjugating back by sigma^(-1)
     re-expands to the base; one (first in lexicographic sigma order)
-    parametrization is kept per distinct gamma.
+    parametrization is kept per distinct gamma, so H is decomposed only when
+    its gamma = |H - id| is new.
     """
     n = base.n
     vals = base.values
@@ -69,10 +70,11 @@ def expansion_family(base: FunctionalDigraph) -> ExpansionFamily:
         t = tuple(table)
         if not _labels_are_graceful(t):
             continue
+        gamma = tuple(abs(v - i) for i, v in enumerate(t))
+        if gamma in members:
+            continue
         e = decompose(FunctionalDigraph(t))
-        if e.gamma.values not in members:
-            sigma_inv = Permutation(s).inverse()
-            members[e.gamma.values] = (e.gamma, sigma_inv, e.p)
+        members[gamma] = (e.gamma, Permutation(s).inverse(), e.p)
     ordered = tuple(members[k] for k in sorted(members))
     return ExpansionFamily(base, ordered)
 

@@ -17,14 +17,13 @@ beyond n = 2.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence, TypeVar
 
 from gracelab.digraph import (
     FunctionalDigraph,
     Permutation,
-    _labels_are_graceful,
+    graceful_tables,
     is_functional_tree,
     is_gracefully_labeled,
 )
@@ -128,12 +127,10 @@ def tree_sign(g: FunctionalDigraph) -> int:
 def _rooted_graceful_trees(n: int):
     # Gracefully labeled functional trees rooted at 0 <=> f(0) = 0, the
     # label multiset is Z_n, and the iterate collapses to a point.
-    for rest in itertools.product(range(n), repeat=n - 1):
-        values = (0,) + rest
-        if _labels_are_graceful(values):
-            g = FunctionalDigraph(values)
-            if is_functional_tree(g):
-                yield g
+    for values in graceful_tables(n, fix0=True):
+        g = FunctionalDigraph(values)
+        if is_functional_tree(g):
+            yield g
 
 
 def _signed_tree_sum(matrix: Sequence[Sequence[T]], use_descents: bool) -> T:

@@ -217,6 +217,14 @@ class TestUsageErrors:
         assert code == 2
         assert "non-negative" in err
 
+    @pytest.mark.parametrize("command", ["sp", "tdmtt", "whitty"])
+    def test_negative_seed(self, capsys, command):
+        code, out, err = invoke(capsys, command, "--n", "3", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "--seed must be non-negative" in err
+
 
 class TestStructuredDocs:
     def test_whitty_symbolic_document(self, capsys):

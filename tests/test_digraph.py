@@ -8,12 +8,15 @@ from gracelab.digraph import (
     all_value_tables,
     complement,
     edge_labels,
+    functional_trees,
+    graceful_tables,
     grl_set,
     is_graceful,
     is_gracefully_labeled,
     is_functional_tree,
     relabel,
 )
+from gracelab.digraph import _labels_are_graceful
 
 
 def D(*values):
@@ -77,6 +80,39 @@ class TestFunctionalTree:
             expected = is_functional_tree(g)
             for s in itertools.permutations(range(4)):
                 assert is_functional_tree(relabel(g, Permutation(s))) == expected
+
+
+class TestOracleGenerators:
+    """The pruned generators against the plain n^n filters they replace."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_functional_trees_match_the_filter(self, n):
+        expected = [
+            v for v in all_value_tables(n) if is_functional_tree(FunctionalDigraph(v))
+        ]
+        assert list(functional_trees(n)) == expected
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_graceful_tables_match_the_filter(self, n):
+        expected = [v for v in all_value_tables(n) if _labels_are_graceful(v)]
+        assert list(graceful_tables(n)) == expected
+        assert list(graceful_tables(n, fix0=True)) == [v for v in expected if v[0] == 0]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_cayley_count(self, n):
+        assert sum(1 for _ in functional_trees(n)) == n ** (n - 1)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_fix0_tables_fix_zero(self, n):
+        tables = list(graceful_tables(n, fix0=True))
+        assert tables
+        assert all(t[0] == 0 for t in tables)
+
+    def test_rejects_empty_domain(self):
+        with pytest.raises(ValueError):
+            next(functional_trees(0))
+        with pytest.raises(ValueError):
+            next(graceful_tables(0))
 
 
 class TestRelabel:

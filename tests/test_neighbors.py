@@ -1,11 +1,14 @@
 import pytest
 
+import itertools
+
 from gracelab.digraph import (
     FunctionalDigraph,
     Permutation,
     is_gracefully_labeled,
+    relabel,
 )
-from gracelab.expansion import GracefulExpansion
+from gracelab.expansion import GracefulExpansion, decompose
 from gracelab.neighbors import (
     completeness_check,
     edit_distance_at_most,
@@ -68,6 +71,30 @@ class TestExpansionFamily:
     def test_non_graceful_base_has_empty_family(self):
         fam = expansion_family(FunctionalDigraph((1, 0)))
         assert fam.members == ()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            *(star(n).format() for n in range(1, 8)),
+            # rigid trees: no automorphism but the identity
+            "5:0,0,1,2,3",
+            "6:0,0,1,1,3,4",
+            "6:0,0,1,2,2,4",
+            "7:0,0,0,1,2,4,5",
+        ],
+    )
+    def test_equals_decompose_every_conjugate(self, text):
+        base = FunctionalDigraph.parse(text)
+        n = base.n
+        members = {}
+        for s in itertools.permutations(range(n)):
+            h = relabel(base, Permutation(s))
+            if is_gracefully_labeled(h):
+                e = decompose(h)
+                members.setdefault(e.gamma.values, (e.gamma, Permutation(s).inverse(), e.p))
+        expected = tuple(members[k] for k in sorted(members))
+        assert expected
+        assert expansion_family(base).members == expected
 
 
 class TestNeighborsViaExpansion:
