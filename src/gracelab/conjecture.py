@@ -9,16 +9,13 @@ tables of their orbits.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from gracelab.digraph import (
     FunctionalDigraph,
-    Permutation,
-    edge_labels,
+    conjugate_tables,
     functional_trees,
     is_functional_tree,
-    relabel,
 )
 
 __all__ = [
@@ -52,14 +49,7 @@ def star_sequences(n: int) -> list[tuple[int, ...]]:
 
 
 def _orbit(values: tuple[int, ...]) -> set[tuple[int, ...]]:
-    n = len(values)
-    orbit: set[tuple[int, ...]] = set()
-    for s in itertools.permutations(range(n)):
-        table = [0] * n
-        for j, v in enumerate(values):
-            table[s[j]] = s[v]
-        orbit.add(tuple(table))
-    return orbit
+    return set(conjugate_tables(values))
 
 
 def tree_classes(n: int) -> list[TreeClass]:
@@ -82,12 +72,12 @@ def tree_classes(n: int) -> list[TreeClass]:
 
 
 def class_sequences(t: TreeClass) -> set[tuple[int, ...]]:
-    """All label sequences realized over the relabelings of the class."""
-    n = t.representative.n
-    out: set[tuple[int, ...]] = set()
-    for s in itertools.permutations(range(n)):
-        out.add(edge_labels(relabel(t.representative, Permutation(s))))
-    return out
+    """All label sequences realized over the relabelings of the class,
+    read off the distinct tables of its orbit."""
+    return {
+        tuple(sorted(abs(v - i) for i, v in enumerate(table)))
+        for table in _orbit(t.representative.values)
+    }
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ __all__ = [
     "FunctionalDigraph",
     "all_value_tables",
     "complement",
+    "conjugate_tables",
     "edge_labels",
     "functional_trees",
     "graceful_tables",
@@ -257,51 +258,277 @@ def graceful_tables(n: int, fix0: bool = False) -> Iterator[tuple[int, ...]]:
             start[i] = 0
 
 
+def _conjugate(values: tuple[int, ...], sigma: tuple[int, ...]) -> tuple[int, ...]:
+    """The table of sigma f sigma^(-1): table[sigma(j)] = sigma(f(j))."""
+    table = [0] * len(values)
+    for j, v in enumerate(values):
+        table[sigma[j]] = sigma[v]
+    return tuple(table)
+
+
 def relabel(g: FunctionalDigraph, s: Permutation) -> FunctionalDigraph:
     """Conjugate the underlying function: i -> s(f(s^(-1)(i)))."""
     if s.n != g.n:
         raise ValueError(f"permutation on Z_{s.n} cannot relabel a digraph on Z_{g.n}")
-    out = [0] * g.n
-    for j, v in enumerate(g.values):
-        out[s.values[j]] = s.values[v]
-    return FunctionalDigraph(tuple(out))
+    return FunctionalDigraph(_conjugate(g.values, s.values))
+
+
+def conjugate_tables(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Yield sigma f sigma^(-1) for every sigma in S_n, in the order of
+    itertools.permutations (repeats included).
+
+    The plain definition with no pruning: the oracles use it, never the
+    pruned search below.
+    """
+    for s in itertools.permutations(range(len(values))):
+        yield _conjugate(values, s)
+
+
+# --- pruned conjugation search ---------------------------------------------
+#
+# A conjugate sigma f sigma^(-1) has the edge label |sigma(f(v)) - sigma(v)|
+# at vertex sigma(v), so the search assigns sigma one vertex at a time and
+# checks each edge label against a bitmask as soon as both endpoints are
+# placed.  Cycle vertices go first (shortest cycles first, each in order
+# around the cycle), then every in-tree depth-first, so each tree edge is
+# checked when its tail is placed.  Four more cuts, each from the
+# definitions alone:
+# - label 0 comes from loops only, so a table without exactly one loop has
+#   no gracefully labeled conjugate;
+# - twins, off-cycle siblings whose in-subtrees have the same shape, take
+#   increasing sigma values: swapping two twin subtrees is an automorphism
+#   of f, so every distinct conjugate table is still reached;
+# - a partial sigma is dropped when some unused edge label L has no pair of
+#   labels x, x + L left that an unplaced edge could join;
+# - sigma and n-1-sigma give the same edge labels, and twin swaps fix the
+#   loop, so the loop takes only the lower half of the labels and each hit
+#   is yielded with its complement.
+# The search never uses gamma or sign patterns, and the oracles never use
+# the search.
+
+
+def _structure(
+    values: tuple[int, ...],
+) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """Cycles (each in order v, f(v), ...), off-cycle in-neighbours, and an
+    AHU shape code per vertex: equal codes mean isomorphic in-subtrees."""
+    n = len(values)
+    state = [0] * n  # 0 unvisited, 1 on the current walk, 2 finished
+    cycles: list[list[int]] = []
+    for start in range(n):
+        walk = []
+        v = start
+        while state[v] == 0:
+            state[v] = 1
+            walk.append(v)
+            v = values[v]
+        if state[v] == 1:
+            cycles.append(walk[walk.index(v) :])
+        for u in walk:
+            state[u] = 2
+    on_cycle = [False] * n
+    for cycle in cycles:
+        for v in cycle:
+            on_cycle[v] = True
+    children: list[list[int]] = [[] for _ in range(n)]
+    for u in range(n):
+        if not on_cycle[u]:
+            children[values[u]].append(u)
+    top_down = [v for cycle in cycles for v in cycle]
+    for v in top_down:  # grows while it is read: a breadth-first order
+        top_down.extend(children[v])
+    ids: dict[tuple[int, ...], int] = {}
+    code = [0] * n
+    for v in reversed(top_down):
+        key = tuple(sorted(code[u] for u in children[v]))
+        code[v] = ids.setdefault(key, len(ids))
+    return cycles, children, code
+
+
+def _graceful_conjugators(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Yield sigma (sigma[v] is the label of vertex v) for conjugates
+    sigma f sigma^(-1) that are gracefully labeled; every such conjugate
+    table comes from at least one yielded sigma."""
+    n = len(values)
+    if sum(1 for v, w in enumerate(values) if v == w) != 1:
+        return  # label 0 comes from loops only, and it may be used once
+    cycles, children, code = _structure(values)
+    order = [v for cycle in sorted(cycles, key=len) for v in cycle]
+    twin = [-1] * n  # the previous twin of each vertex, or -1
+    for c in list(order):
+        stack = [c]
+        while stack:
+            v = stack.pop()
+            if v != c:
+                order.append(v)
+            kids = sorted(children[v], key=code.__getitem__)
+            for u, w in zip(kids, kids[1:]):
+                if code[u] == code[w]:
+                    twin[w] = u
+            stack.extend(reversed(kids))
+    pos = [0] * n
+    for k, v in enumerate(order):
+        pos[v] = k
+    # partners[k]: the placed endpoints of the edges completed at position
+    # k; a loop is completed at its own position with label 0.
+    partners: list[list[int]] = [[] for _ in range(n)]
+    pending = [0] * n  # neighbours not yet placed
+    for x, y in enumerate(values):
+        if pos[x] >= pos[y]:
+            partners[pos[x]].append(y)
+        else:
+            partners[pos[y]].append(x)
+        if x != y:
+            pending[x] += 1
+            pending[y] += 1
+    # After position k, a placed vertex is open while it has an unplaced
+    # neighbour; which vertices open and close at each position does not
+    # depend on sigma.
+    opens = [False] * n
+    closes: list[list[int]] = [[] for _ in range(n)]
+    for k, v in enumerate(order):
+        for w in partners[k]:
+            if w != v:
+                pending[w] -= 1
+                pending[v] -= 1
+                if pending[w] == 0:
+                    closes[k].append(w)
+        opens[k] = pending[v] > 0
+    full = (1 << n) - 1
+    sigma = [0] * n
+    taken = 0  # vertex labels in use
+    used = 0  # edge labels in use
+    added = [0] * n  # edge-label bits set by the assignment at each position
+    open_at = [0] * n  # labels of the open vertices after each position
+    # order[0] is the loop (label 0); it takes the lower half of the labels
+    tries = [[(a, 1) for a in range((n - 1) // 2, -1, -1)]] + [[]] * (n - 1)
+    k = 0
+    while k >= 0:
+        if not tries[k]:
+            k -= 1
+            if k >= 0:  # back from k + 1: release the assignment at k
+                taken ^= 1 << sigma[order[k]]
+                used ^= added[k]
+            continue
+        a, bits = tries[k].pop()
+        sigma[order[k]] = a
+        if k == n - 1:
+            yield tuple(sigma)
+            yield tuple(n - 1 - x for x in sigma)
+            continue
+        # Each unused edge label L still needs an unplaced edge between
+        # labels x and x + L: both free, or one free and one open.
+        free = full ^ taken ^ (1 << a)
+        o = open_at[k - 1] if k else 0
+        if opens[k]:
+            o |= 1 << a
+        for w in closes[k]:
+            o ^= 1 << sigma[w]
+        reach = free | o
+        unused = full ^ (used | bits)
+        while unused:
+            top = unused.bit_length() - 1
+            if not (free & (reach >> top) | o & (free >> top)):
+                break
+            unused ^= 1 << top
+        if unused:
+            continue
+        open_at[k] = o
+        taken |= 1 << a
+        used |= bits
+        added[k] = bits
+        k += 1
+        v = order[k]
+        prev = twin[v]
+        lo = sigma[prev] if prev >= 0 else -1
+        ps = partners[k]
+        if not ps:
+            tries[k] = [(a, 0) for a in range(n - 1, lo, -1) if not taken >> a & 1]
+            continue
+        b = sigma[ps[0]]
+        opts = [
+            (a, 1 << abs(a - b))
+            for a in range(n - 1, lo, -1)
+            if not taken >> a & 1 and not used >> abs(a - b) & 1
+        ]
+        for w in ps[1:]:  # the edge that closes a cycle
+            b = sigma[w]
+            opts = [
+                (a, bits | 1 << abs(a - b))
+                for a, bits in opts
+                if not (used | bits) >> abs(a - b) & 1
+            ]
+        tries[k] = opts
+
+
+def _least_conjugator(
+    values: tuple[int, ...],
+    table: tuple[int, ...],
+    sigma: tuple[int, ...],
+    code: list[int],
+) -> tuple[int, ...]:
+    """The lexicographically least sigma' with sigma' f sigma'^(-1) == table,
+    given one such sigma and the shape codes of f (from _structure).
+
+    sigma'(0), sigma'(1), ... are fixed in turn, each at the least label of
+    matching shape whose forced images sigma'(f^k(j)) = table^k(label) are
+    consistent.  A consistent partial map between f-closed parts with
+    matching shapes always extends to the whole, so no choice is undone.
+    """
+    n = len(values)
+    label_code = [0] * n
+    for v in range(n):
+        label_code[sigma[v]] = code[v]
+    out = [-1] * n
+    owner = [-1] * n  # label -> vertex
+    for j in range(n):
+        if out[j] >= 0:
+            continue
+        for a in range(n):
+            if owner[a] >= 0 or label_code[a] != code[j]:
+                continue
+            trail = []
+            x, b = j, a
+            while out[x] < 0 and owner[b] < 0 and label_code[b] == code[x]:
+                out[x] = b
+                owner[b] = x
+                trail.append(x)
+                x, b = values[x], table[b]
+            if out[x] == b:
+                break
+            for x in trail:
+                owner[out[x]] = -1
+                out[x] = -1
+        else:
+            raise ValueError("table is not a conjugate of the digraph")
+    return tuple(out)
+
+
+def _first_conjugators(
+    values: tuple[int, ...],
+) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Map each distinct gracefully labeled conjugate table of f to the
+    lexicographically least sigma with sigma f sigma^(-1) == table."""
+    code = _structure(values)[2]
+    reached: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for s in _graceful_conjugators(values):
+        reached.setdefault(_conjugate(values, s), s)
+    return {t: _least_conjugator(values, t, s, code) for t, s in reached.items()}
 
 
 def is_graceful(g: FunctionalDigraph) -> bool:
-    """True iff some relabeling of g is gracefully labeled (factorial search)."""
-    n = g.n
-    vals = g.values
-    for s in itertools.permutations(range(n)):
-        seen = 0
-        for j in range(n):
-            label = s[vals[j]] - s[j]
-            if label < 0:
-                label = -label
-            bit = 1 << label
-            if seen & bit:
-                break
-            seen |= bit
-        else:
-            return True
-    return False
+    """True iff some relabeling of g is gracefully labeled; the pruned
+    conjugation search stops at its first hit."""
+    return next(_graceful_conjugators(g.values), None) is not None
 
 
 def grl_set(g: FunctionalDigraph) -> list[FunctionalDigraph]:
     """All distinct gracefully labeled conjugates of g, lexicographically sorted.
 
-    Distinctness is by value-table equality, which quotients away the
-    automorphisms of g without computing them.
+    The pruned search may reach one table from several sigma (automorphisms
+    other than twin swaps); the set keeps each once.
     """
-    n = g.n
-    vals = g.values
-    found: set[tuple[int, ...]] = set()
-    for s in itertools.permutations(range(n)):
-        table = [0] * n
-        for j, v in enumerate(vals):
-            table[s[j]] = s[v]
-        t = tuple(table)
-        if _labels_are_graceful(t):
-            found.add(t)
+    found = {_conjugate(g.values, s) for s in _graceful_conjugators(g.values)}
     return [FunctionalDigraph(t) for t in sorted(found)]
 
 

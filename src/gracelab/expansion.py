@@ -25,6 +25,7 @@ from gracelab.digraph import (
 
 __all__ = [
     "GracefulExpansion",
+    "IdentityCheck",
     "SignedPermutation",
     "count_valid_gammas",
     "decompose",
@@ -34,7 +35,6 @@ __all__ = [
     "expand",
     "is_valid_gamma",
     "sp_sum_identity_check",
-    "SpSumCheck",
     "tau_bounds",
     "tau_bruteforce",
 ]
@@ -214,7 +214,9 @@ def enumerate_sp(n: int) -> list[SignedPermutation]:
 
 
 @dataclass(frozen=True)
-class SpSumCheck:
+class IdentityCheck:
+    """The two sides of an identity computed two ways."""
+
     left: int
     right: int
 
@@ -223,7 +225,7 @@ class SpSumCheck:
         return self.left == self.right
 
 
-def sp_sum_identity_check(n: int, matrix: Sequence[Sequence[int]]) -> SpSumCheck:
+def sp_sum_identity_check(n: int, matrix: Sequence[Sequence[int]]) -> IdentityCheck:
     """Signed-permutation entry-product sum vs the brute-force graceful sum.
 
     left  = sum over enumerate_sp(n) of prod_i A[i, i+g(i)]
@@ -243,7 +245,7 @@ def sp_sum_identity_check(n: int, matrix: Sequence[Sequence[int]]) -> SpSumCheck
         for i, v in enumerate(values):
             term *= matrix[i][v]
         right += term
-    return SpSumCheck(left, right)
+    return IdentityCheck(left, right)
 
 
 def tau_bounds(n: int) -> tuple[int, int]:

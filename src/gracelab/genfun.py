@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence, TypeVar
 
 from gracelab.digraph import functional_trees
+from gracelab.expansion import IdentityCheck
 # Unused here, but bench/test_bench.py checks that a traced pass restores it.
 from gracelab.digraph import is_functional_tree  # noqa: F401
 from gracelab.polyring import SparsePoly
@@ -26,7 +27,6 @@ from gracelab.polyring import SparsePoly
 __all__ = [
     "ClaimCheck",
     "PropertyReport",
-    "TdmttCheck",
     "build_F_matrix",
     "build_P_matrix",
     "check_F_properties",
@@ -231,17 +231,7 @@ def compute_P_bruteforce(n: int) -> SparsePoly:
     return SparsePoly(counts)
 
 
-@dataclass(frozen=True)
-class TdmttCheck:
-    left: int
-    right: int
-
-    @property
-    def equal(self) -> bool:
-        return self.left == self.right
-
-
-def tdmtt_check(matrix: Sequence[Sequence[int]]) -> TdmttCheck:
+def tdmtt_check(matrix: Sequence[Sequence[int]]) -> IdentityCheck:
     """Directed matrix tree theorem on an integer matrix.
 
     left  = sum over roots i of A[i,i] * det of the i-th principal
@@ -262,7 +252,7 @@ def tdmtt_check(matrix: Sequence[Sequence[int]]) -> TdmttCheck:
         for i, v in enumerate(values):
             term *= matrix[i][v]
         right += term
-    return TdmttCheck(left, right)
+    return IdentityCheck(left, right)
 
 
 # --- structural property checks -------------------------------------------

@@ -11,13 +11,14 @@ measured, never assumed.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from gracelab.digraph import (
     FunctionalDigraph,
     Permutation,
+    _first_conjugators,
     _labels_are_graceful,
+    conjugate_tables,
 )
 from gracelab.expansion import GracefulExpansion, decompose, expand
 
@@ -52,31 +53,27 @@ class ExpansionFamily:
 
 
 def expansion_family(base: FunctionalDigraph) -> ExpansionFamily:
-    """Build the family by decomposing every gracefully labeled conjugate.
+    """Build the family from the distinct gracefully labeled conjugates.
 
-    For each sigma with H = sigma f sigma^(-1) gracefully labeled, H itself
-    decomposes as id + (-1)^p * gamma, and conjugating back by sigma^(-1)
-    re-expands to the base; one (first in lexicographic sigma order)
-    parametrization is kept per distinct gamma, so H is decomposed only when
-    its gamma = |H - id| is new.
+    Each such conjugate H = sigma f sigma^(-1) decomposes as
+    id + (-1)^p * gamma, and conjugating back by sigma^(-1) re-expands to the
+    base.  One member is kept per distinct gamma = |H - id|: the one that
+    the lexicographically first sigma of S_n yields.  The pruned conjugation
+    search finds every distinct H; for each, the least sigma reaching it is
+    recovered, and per gamma the H with the least such sigma is kept, so
+    only the kept H are decomposed.
     """
-    n = base.n
-    vals = base.values
-    members: dict[tuple[int, ...], tuple[Permutation, Permutation, tuple[int, ...]]] = {}
-    for s in itertools.permutations(range(n)):
-        table = [0] * n
-        for j, v in enumerate(vals):
-            table[s[j]] = s[v]
-        t = tuple(table)
-        if not _labels_are_graceful(t):
-            continue
+    best: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+    for t, s in _first_conjugators(base.values).items():
         gamma = tuple(abs(v - i) for i, v in enumerate(t))
-        if gamma in members:
-            continue
+        if gamma not in best or s < best[gamma][0]:
+            best[gamma] = (s, t)
+    members = []
+    for gamma in sorted(best):
+        s, t = best[gamma]
         e = decompose(FunctionalDigraph(t))
-        members[gamma] = (e.gamma, Permutation(s).inverse(), e.p)
-    ordered = tuple(members[k] for k in sorted(members))
-    return ExpansionFamily(base, ordered)
+        members.append((e.gamma, Permutation(s).inverse(), e.p))
+    return ExpansionFamily(base, tuple(members))
 
 
 def single_sign_flip(e: GracefulExpansion, j: int) -> GracefulExpansion | None:
@@ -114,31 +111,20 @@ def edit_distance_at_most(
     """True iff h agrees with some conjugate of g outside <= k positions."""
     if g.n != h.n:
         raise ValueError("digraphs must share a vertex count")
-    n = g.n
-    vals = g.values
     target = h.values
-    for s in itertools.permutations(range(n)):
-        mismatches = 0
-        for j in range(n):
-            if target[s[j]] != s[vals[j]]:
-                mismatches += 1
-                if mismatches > k:
-                    break
-        if mismatches <= k:
-            return True
-    return False
+    return any(
+        sum(a != b for a, b in zip(t, target)) <= k
+        for t in conjugate_tables(g.values)
+    )
 
 
 def neighbors_bruteforce(g: FunctionalDigraph) -> list[FunctionalDigraph]:
     """Oracle: every gracefully labeled digraph at edit distance <= 1,
     built by patching one image of each conjugate of g."""
     n = g.n
-    vals = g.values
     found: set[tuple[int, ...]] = set()
-    for s in itertools.permutations(range(n)):
-        table = [0] * n
-        for j, v in enumerate(vals):
-            table[s[j]] = s[v]
+    for conjugate in set(conjugate_tables(g.values)):
+        table = list(conjugate)
         for j in range(n):
             original = table[j]
             for v in range(n):

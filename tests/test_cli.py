@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import tomllib
+from pathlib import Path
 
 import pytest
 
@@ -259,13 +264,30 @@ class TestStructuredDocs:
 
 
 class TestConsoleScript:
-    def test_installed_entry_point(self):
-        import subprocess
+    """Both ways of running the command line, each in a fresh interpreter
+    that imports this checkout's package: ``python -m gracelab`` and the
+    ``[project.scripts]`` target that an install turns into ``gracelab``."""
 
-        result = subprocess.run(
-            ["gracelab", "labels", "--graph", "6:0,0,0,0,3,3"],
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == 0
-        assert result.stdout == "0,1,1,2,2,3\n"
+    def test_installed_entry_point(self):
+        root = Path(__file__).resolve().parents[1]
+        with open(root / "pyproject.toml", "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["gracelab"]
+        module, _, function = target.partition(":")
+        launchers = [
+            [sys.executable, "-m", "gracelab"],
+            [
+                sys.executable,
+                "-c",
+                f"import sys; from {module} import {function}; sys.exit({function}())",
+            ],
+        ]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        for launcher in launchers:
+            result = subprocess.run(
+                [*launcher, "labels", "--graph", "6:0,0,0,0,3,3"],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert result.returncode == 0, result.stderr
+            assert result.stdout == "0,1,1,2,2,3\n"

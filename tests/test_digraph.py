@@ -7,6 +7,7 @@ from gracelab.digraph import (
     Permutation,
     all_value_tables,
     complement,
+    conjugate_tables,
     edge_labels,
     functional_trees,
     graceful_tables,
@@ -177,6 +178,60 @@ class TestGrlSet:
         for values in all_value_tables(4):
             for m in grl_set(FunctionalDigraph(values)):
                 assert is_gracefully_labeled(m)
+
+
+def scan_conjugates(values):
+    """Reference: sigma f sigma^-1 for every sigma of S_n, a plain n! scan."""
+    n = len(values)
+    for s in itertools.permutations(range(n)):
+        table = [0] * n
+        for j, v in enumerate(values):
+            table[s[j]] = s[v]
+        yield tuple(table)
+
+
+def conjugation_classes(n):
+    """(representative, orbit) for every conjugation class of tables on Z_n."""
+    seen = set()
+    for values in all_value_tables(n):
+        if values not in seen:
+            orbit = set(scan_conjugates(values))
+            seen |= orbit
+            yield values, orbit
+
+
+class TestConjugateTables:
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_matches_the_plain_scan(self, n):
+        for values in all_value_tables(n):
+            assert list(conjugate_tables(values)) == list(scan_conjugates(values))
+
+
+class TestConjugationSearch:
+    """The pruned conjugation search behind is_graceful and grl_set against
+    the plain n! scan.  The graceful conjugates are shared by a whole
+    conjugation class, so the scan runs once per class and every table of
+    the class is searched."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_the_plain_scan_on_every_table(self, n):
+        for rep, orbit in conjugation_classes(n):
+            expected = sorted({t for t in scan_conjugates(rep) if _labels_are_graceful(t)})
+            for values in orbit:
+                g = FunctionalDigraph(values)
+                assert [m.values for m in grl_set(g)] == expected
+                assert is_graceful(g) == bool(expected)
+
+    def test_star_on_twelve_vertices(self):
+        # 11! automorphisms: only a search that quotients them finishes
+        members = grl_set(FunctionalDigraph((0,) * 12))
+        assert [m.values for m in members] == [(0,) * 12, (11,) * 12]
+
+    def test_two_fixed_points_on_twelve_vertices(self):
+        # two loops both carry label 0, so no conjugate is gracefully labeled
+        g = FunctionalDigraph.parse("12:0,0,1,3,3,4,5,6,7,8,9,10")
+        assert not is_graceful(g)
+        assert grl_set(g) == []
 
 
 class TestComplement:

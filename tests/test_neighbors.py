@@ -5,6 +5,7 @@ import itertools
 from gracelab.digraph import (
     FunctionalDigraph,
     Permutation,
+    functional_trees,
     is_gracefully_labeled,
     relabel,
 )
@@ -75,7 +76,7 @@ class TestExpansionFamily:
     @pytest.mark.parametrize(
         "text",
         [
-            *(star(n).format() for n in range(1, 8)),
+            *(star(n).format() for n in range(1, 9)),
             # rigid trees: no automorphism but the identity
             "5:0,0,1,2,3",
             "6:0,0,1,1,3,4",
@@ -95,6 +96,67 @@ class TestExpansionFamily:
         expected = tuple(members[k] for k in sorted(members))
         assert expected
         assert expansion_family(base).members == expected
+
+
+def graceful_hits(values):
+    """(sigma, sigma f sigma^-1) for every sigma of S_n whose conjugate is
+    gracefully labeled, in lexicographic sigma order: a plain n! scan."""
+    n = len(values)
+    hits = []
+    for s in itertools.permutations(range(n)):
+        table = [0] * n
+        for j, v in enumerate(values):
+            table[s[j]] = s[v]
+        if is_gracefully_labeled(FunctionalDigraph(tuple(table))):
+            hits.append((s, tuple(table)))
+    return hits
+
+
+def first_member_per_gamma(hits):
+    """The member rule: per gamma, the member from the first sigma of hits."""
+    first = {}
+    for s, table in hits:
+        first.setdefault(tuple(abs(v - i) for i, v in enumerate(table)), (s, table))
+    members = []
+    for gamma in sorted(first):
+        s, table = first[gamma]
+        e = decompose(FunctionalDigraph(table))
+        members.append((e.gamma, Permutation(s).inverse(), e.p))
+    return tuple(members)
+
+
+class TestFamilyAgainstTheScan:
+    """expansion_family, sigma included, against the member rule applied to
+    a plain scan of S_n."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_table(self, n):
+        for values in itertools.product(range(n), repeat=n):
+            expected = first_member_per_gamma(graceful_hits(values))
+            assert expansion_family(FunctionalDigraph(values)).members == expected
+
+    def test_every_functional_tree_on_six_vertices(self):
+        # The scan runs once per conjugation class.  For a tree
+        # g = tau r tau^-1 of the class of r, sigma g sigma^-1 equals
+        # rho r rho^-1 with rho = sigma tau, so g's hits are r's hits with
+        # sigma = rho tau^-1, re-sorted into lexicographic sigma order.
+        seen = set()
+        for rep in functional_trees(6):
+            if rep in seen:
+                continue
+            tau = {}
+            for s in itertools.permutations(range(6)):
+                tau.setdefault(relabel(FunctionalDigraph(rep), Permutation(s)).values, s)
+            seen |= set(tau)
+            hits = graceful_hits(rep)
+            for g, t in tau.items():
+                t_inv = Permutation(t).inverse().values
+                reindexed = sorted(
+                    (tuple(rho[t_inv[j]] for j in range(6)), table) for rho, table in hits
+                )
+                expected = first_member_per_gamma(reindexed)
+                assert expansion_family(FunctionalDigraph(g)).members == expected
+        assert len(seen) == 6**5
 
 
 class TestNeighborsViaExpansion:
