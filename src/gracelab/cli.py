@@ -33,10 +33,10 @@ MAX_N = {
     "sp": 7,
     "tau": 9,
     "genfun-f": 9,
-    "genfun-p": 10,
+    "genfun-p": 11,
     "genfun-oracle": 7,
     "coeff-f": 9,
-    "coeff-p": 10,
+    "coeff-p": 11,
     "props": 7,
     "tdmtt": 8,
     "whitty": 7,

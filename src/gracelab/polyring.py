@@ -84,9 +84,13 @@ class SparsePoly:
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
         if not isinstance(other, SparsePoly):
             return NotImplemented
+        return self._plus(other, 1)
+
+    def _plus(self, other: "SparsePoly", sign: int) -> "SparsePoly":
+        # self + sign * other in one pass over other's terms.
         out = dict(self._terms)
         for e, c in other._terms.items():
-            s = out.get(e, 0) + c
+            s = out.get(e, 0) + sign * c
             if s:
                 out[e] = s
             else:
@@ -103,9 +107,11 @@ class SparsePoly:
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
-    def __mul__(self, other: "SparsePoly") -> "SparsePoly":
+    def __mul__(self, other: "SparsePoly | int") -> "SparsePoly":
+        if isinstance(other, int):
+            return self.scale(other)
         if not isinstance(other, SparsePoly):
             return NotImplemented
         out: dict[int, int] = {}
@@ -121,11 +127,37 @@ class SparsePoly:
         result._terms = out
         return result
 
+    def __rmul__(self, factor: int) -> "SparsePoly":
+        if not isinstance(factor, int):
+            return NotImplemented
+        return self.scale(factor)
+
     def scale(self, factor: int) -> "SparsePoly":
+        """The polynomial factor * self; also spelled self * factor."""
         if factor == 0:
             return SparsePoly.zero()
         result = SparsePoly.zero()
         result._terms = {e: factor * c for e, c in self._terms.items()}
+        return result
+
+    @classmethod
+    def sum_of_products(
+        cls, terms: Iterable[tuple[int, "SparsePoly", "SparsePoly"]]
+    ) -> "SparsePoly":
+        """Sum of sign * a * b over (sign, a, b) triples, built in one fresh
+        dict: no polynomial per product and no copy per partial sum.  Zero
+        coefficients are dropped once, at the end."""
+        out: dict[int, int] = {}
+        get = out.get
+        for sign, a, b in terms:
+            b_terms = b._terms.items()
+            for e1, c1 in a._terms.items():
+                c1 *= sign
+                for e2, c2 in b_terms:
+                    e = e1 + e2
+                    out[e] = get(e, 0) + c1 * c2
+        result = cls()
+        result._terms = {e: c for e, c in out.items() if c}
         return result
 
     def to_pairs(self) -> list[list[str]]:

@@ -54,12 +54,6 @@ def _ring_constants(matrix: Sequence[Sequence[T]]) -> tuple[T, T]:
     return 0, 1  # type: ignore[return-value]
 
 
-def _scale(value: T, k: int) -> T:
-    if isinstance(value, SparsePoly):
-        return value.scale(k)  # type: ignore[return-value]
-    return value * k  # type: ignore[operator, return-value]
-
-
 @dataclass(frozen=True)
 class WhittyMatrices:
     """The banded matrices; entries whose A-index leaves [0, n) are zero."""
@@ -144,7 +138,7 @@ def _signed_tree_sum(matrix: Sequence[Sequence[T]], use_descents: bool) -> T:
         term = one
         for i, v in enumerate(g.values):
             term = term * matrix[min(i, v)][max(i, v)]
-        total = total + _scale(term, sign)
+        total = total + term * sign
     return total
 
 
@@ -209,11 +203,11 @@ def calibration() -> Calibration:
     global _CALIBRATION
     if _CALIBRATION is None:
         matrix = symbolic_matrix(2)
-        lhs = _scale(whitty_lhs(matrix), _column_reversal_parity(2))
+        lhs = whitty_lhs(matrix) * _column_reversal_parity(2)
         rhs = whitty_rhs_determinant_sign(matrix)
         if lhs == rhs:
             epsilon = 1
-        elif lhs == _scale(rhs, -1):
+        elif lhs == -rhs:
             epsilon = -1
         else:
             raise AssertionError("calibration failed: lhs is not +/- rhs at n=2")
@@ -254,10 +248,10 @@ def whitty_check(matrix: Sequence[Sequence[T]]) -> WhittyCheck:
     n = len(matrix)
     lhs = whitty_lhs(matrix)
     rhs = whitty_rhs_determinant_sign(matrix)
-    lhs_label_order = _scale(lhs, _column_reversal_parity(n))
-    equal = lhs_label_order == _scale(rhs, cal.epsilon)
+    lhs_label_order = lhs * _column_reversal_parity(n)
+    equal = lhs_label_order == rhs * cal.epsilon
     rhs_printed = whitty_rhs(matrix)
-    printed_agrees = lhs in (rhs_printed, _scale(rhs_printed, -1))
+    printed_agrees = lhs in (rhs_printed, -rhs_printed)
     return WhittyCheck(
         lhs=lhs,
         rhs=rhs,

@@ -80,6 +80,11 @@ class TestGenfun:
         assert code == 0
         assert out == '[["2","1"],["4","2"],["6","1"]]\n'
 
+    def test_p_past_the_ceiling_is_usage_error(self, capsys):
+        code, out, err = invoke(capsys, "genfun", "--which", "p", "--n", "12")
+        assert code == 2 and out == ""
+        assert "genfun-p: n=12 outside feasible range [2, 11]" in err
+
     def test_oracle_gate(self, capsys):
         code, _, err = invoke(
             capsys, "genfun", "--which", "f", "--n", "8", "--oracle"
@@ -95,6 +100,19 @@ class TestCoeff:
         )
         assert code == 0
         assert out == "exponent: 21\ncoefficient: 6\n"
+
+    def test_p_path_sequence_at_the_ceiling(self, capsys):
+        # one loop and ten label-1 edges: the path, rooted at any of 11 vertices
+        sequence = ",".join(["0"] + ["1"] * 10)
+        code, out, _ = invoke(capsys, "coeff", "--which", "p", "--sequence", sequence)
+        assert code == 0
+        assert out.splitlines()[1] == "coefficient: 11"
+
+    def test_p_past_the_ceiling_is_usage_error(self, capsys):
+        sequence = ",".join(["0"] + ["1"] * 11)
+        code, out, err = invoke(capsys, "coeff", "--which", "p", "--sequence", sequence)
+        assert code == 2 and out == ""
+        assert "coeff-p: n=12 outside feasible range [2, 11]" in err
 
 
 class TestStructuredOutput:

@@ -75,6 +75,22 @@ class TestClassSequences:
         )
         assert set(star_sequences(3)) <= class_sequences(path_class)
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_kept_sequences_are_the_orbit_sequences(self, n):
+        from gracelab.conjecture import _orbit
+
+        for c in tree_classes(n):
+            from_orbit = {
+                tuple(sorted(abs(v - i) for i, v in enumerate(table)))
+                for table in _orbit(c.representative.values)
+            }
+            assert class_sequences(c) == from_orbit
+
+    def test_class_built_without_sequences_reads_its_orbit(self):
+        path = TreeClass(FunctionalDigraph((0, 0, 1)), 6)
+        assert path.sequences is None
+        assert class_sequences(path) == {(0, 1, 1), (0, 1, 2)}
+
     def test_contains_graceful_sequence_iff_graceful(self):
         from gracelab.digraph import is_graceful
 

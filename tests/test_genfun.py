@@ -6,6 +6,7 @@ import pytest
 from gracelab.digraph import FunctionalDigraph, all_value_tables, is_gracefully_labeled
 from gracelab.genfun import (
     build_F_matrix,
+    build_P_matrix,
     check_F_properties,
     check_P_properties,
     compute_F,
@@ -38,6 +39,40 @@ def leibniz_det(matrix, zero, one):
         for i in range(n):
             term = term * matrix[i][perm[i]]
         total = total + term if inversions % 2 == 0 else total - term
+    return total
+
+
+def p_laplacian(n):
+    """L = diag(X * 1) - X for the P matrix X, built here from its definition."""
+    x = build_P_matrix(n)
+    zero = SparsePoly.zero()
+    laplacian = []
+    for i in range(n):
+        row_sum = zero
+        for entry in x[i]:
+            row_sum = row_sum + entry
+        laplacian.append(
+            [row_sum - x[i][j] if i == j else zero - x[i][j] for j in range(n)]
+        )
+    return laplacian
+
+
+def p_laplacian_cofactor(n, root):
+    """det of the P Laplacian with row and column `root` dropped."""
+    minor = [
+        [entry for j, entry in enumerate(row) if j != root]
+        for i, row in enumerate(p_laplacian(n))
+        if i != root
+    ]
+    return det_poly(minor)
+
+
+def all_roots_P(n):
+    """The directed matrix-tree sum over every root: sum_i X[i,i] * det L^(i)."""
+    x = build_P_matrix(n)
+    total = SparsePoly.zero()
+    for i in range(n):
+        total = total + x[i][i] * p_laplacian_cofactor(n, i)
     return total
 
 
@@ -204,10 +239,48 @@ class TestDeterminant:
         zero, one = SparsePoly.zero(), SparsePoly.one()
         assert det_poly(m) == leibniz_det(m, zero, one)
 
+    @pytest.mark.parametrize("seed", (1, 2))
+    def test_integer_matrix_gives_an_int(self, seed):
+        det = det_via_minor_expansion(integer_matrix(4, seed, -9, 9), 0, 1)
+        assert type(det) is int
+
+    def test_constant_polynomial_matrix_gives_a_polynomial(self):
+        two, three = SparsePoly.monomial(0, 2), SparsePoly.monomial(0, 3)
+        assert det_poly([[two, three], [three, two]]) == SparsePoly.monomial(0, -5)
+
+    def test_total_cancellation_stores_nothing(self):
+        a = SparsePoly([(1, 1), (0, 1)])
+        b = SparsePoly([(3, 2), (1, -1)])
+        det = det_poly([[a, b], [a, b]])
+        assert det.is_zero() and det.term_count() == 0
+
+    def test_partial_cancellation_stores_no_zero_coefficient(self):
+        # (x^2 + x) * 1 - x * x = x: the x^2 terms cancel
+        x = SparsePoly.monomial(1)
+        m = [[SparsePoly([(2, 1), (1, 1)]), x], [x, SparsePoly.one()]]
+        det = det_poly(m)
+        assert det.items() == [(1, 1)]
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_laplacian_determinant_stores_no_zero_coefficient(self, n):
+        # zero row sums: the full P Laplacian is singular, every term cancels
+        assert det_poly(p_laplacian(n)).term_count() == 0
+        cofactor = p_laplacian_cofactor(n, 0)
+        assert all(c != 0 for _, c in cofactor.items())
+
 
 class TestComputeP:
     def test_n2(self):
         assert compute_P(2) == SparsePoly.monomial(3, 2)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_principal_cofactors_of_the_laplacian_are_equal(self, n):
+        cofactors = [p_laplacian_cofactor(n, root) for root in range(n)]
+        assert all(c == cofactors[0] for c in cofactors)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_equals_the_all_roots_sum(self, n):
+        assert compute_P(n) == all_roots_P(n)
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_matches_bruteforce(self, n):

@@ -62,6 +62,35 @@ class TestArithmetic:
         assert poly_of((2, 3)).scale(-2).items() == [(2, -6)]
         assert poly_of((2, 3)).scale(0).is_zero()
 
+    def test_int_scaling_on_either_side(self):
+        p = poly_of((2, 3), (0, -1))
+        assert (p * -2).items() == [(0, 2), (2, -6)]
+        assert (-2 * p) == p * -2 == p.scale(-2)
+        assert (p * 0).is_zero() and (0 * p).is_zero()
+
+    def test_int_scaling_leaves_the_operand_unchanged(self):
+        p = poly_of((2, 3))
+        p * 5
+        5 * p
+        assert p.items() == [(2, 3)]
+
+    def test_subtraction_leaves_both_operands_unchanged(self):
+        p, q = poly_of((1, 2), (3, 1)), poly_of((1, 2), (4, 5))
+        assert (p - q).items() == [(3, 1), (4, -5)]
+        assert p.items() == [(1, 2), (3, 1)] and q.items() == [(1, 2), (4, 5)]
+
+    def test_sum_of_products_matches_the_operators(self):
+        a, b = poly_of((1, 1), (0, 2)), poly_of((2, -1), (0, 1))
+        c, d = poly_of((3, 1)), poly_of((0, 4), (1, -3))
+        got = SparsePoly.sum_of_products([(1, a, b), (-1, c, d), (1, b, b)])
+        assert got == a * b - c * d + b * b
+
+    def test_sum_of_products_drops_cancelled_terms(self):
+        a, b = poly_of((1, 1), (0, 2)), poly_of((2, -1), (0, 1))
+        got = SparsePoly.sum_of_products([(1, a, b), (-1, b, a)])
+        assert got.is_zero() and got.items() == []
+        assert SparsePoly.sum_of_products([]).is_zero()
+
 
 class TestQueries:
     def test_eval_at_one(self):
