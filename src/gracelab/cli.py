@@ -34,15 +34,15 @@ MAX_N = {
     "tau": 9,
     "genfun-f": 9,
     "genfun-p": 11,
-    "genfun-oracle": 7,
+    "genfun-oracle": 8,
     "coeff-f": 9,
     "coeff-p": 11,
-    "props": 7,
+    "props": 8,
     "tdmtt": 8,
     "whitty": 7,
     "neighbors": 10,
     "neighbors-oracle": 6,
-    "conjecture": 7,
+    "conjecture": 10,
 }
 
 
@@ -382,6 +382,8 @@ def _cmd_conjecture(args) -> tuple[int, dict, list[str]]:
     lines.append(f"classes: {len(report.classes)}")
     lines.append(f"class_size_total: {report.class_size_total}")
     lines.append(f"holds: {_bool(report.holds)}")
+    lines.extend(f"invariant failed: {v}" for v in report.violations)
+    ok = report.holds and not report.violations
     doc = {
         "command": "conjecture",
         "n": args.n,
@@ -394,9 +396,11 @@ def _cmd_conjecture(args) -> tuple[int, dict, list[str]]:
             for rep, seq in report.missing
         ],
         "class_size_total": report.class_size_total,
-        "status": "pass" if report.holds else "fail",
     }
-    return (0 if report.holds else 1), doc, lines
+    if report.violations:
+        doc["violations"] = list(report.violations)
+    doc["status"] = "pass" if ok else "fail"
+    return (0 if ok else 1), doc, lines
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -5,17 +5,31 @@ function (a star) appears among the label sequences realized by relabelings
 of every functional tree class.  Classes are conjugation orbits of
 functional trees; representatives are the lexicographically least value
 tables of their orbits.
+
+check_conjecture_42 sweeps tree shapes: one non-decreasing parent array per
+rooted-tree shape (tree_shapes), its class size by orbit-stabilizer, and a
+pruned labeling search per star sequence that stops at the first witness
+(realizes).  tree_classes and class_sequences walk each class's n! orbit
+instead; they stay as the oracle for the shape sweep, and the two share
+only the edge-label definition.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 from gracelab.digraph import (
     FunctionalDigraph,
+    Permutation,
+    _structure,
     conjugate_tables,
+    edge_labels,
     functional_trees,
     is_functional_tree,
+    relabel,
 )
 
 __all__ = [
@@ -23,8 +37,11 @@ __all__ = [
     "TreeClass",
     "check_conjecture_42",
     "class_sequences",
+    "realizes",
+    "rooted_tree_count",
     "star_sequences",
     "tree_classes",
+    "tree_shapes",
 ]
 
 
@@ -95,11 +112,155 @@ def class_sequences(t: TreeClass) -> frozenset[tuple[int, ...]]:
     return _sequences(_orbit(t.representative.values))
 
 
+# --- shape sweep ---------------------------------------------------------------
+
+
+def rooted_tree_count(n: int) -> int:
+    """OEIS A000081, the number of unlabeled rooted trees on n vertices, by
+    the Euler-transform recurrence
+    a(m+1) = (1/m) * sum_{k=1..m} (sum_{d | k} d * a(d)) * a(m-k+1)."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    a = [0, 1]
+    for m in range(1, n):
+        total = sum(
+            sum(d * a[d] for d in range(1, k + 1) if k % d == 0) * a[m - k + 1]
+            for k in range(1, m + 1)
+        )
+        a.append(total // m)
+    return a[n]
+
+
+def _ordered_parent_arrays(n: int) -> Iterator[tuple[int, ...]]:
+    """Yield the tables with f(0) = 0 and f(i-1) <= f(i) < i for i >= 1,
+    lexicographically; there are Catalan(n-1) of them."""
+    values = [0] * n
+
+    def extend(i: int) -> Iterator[tuple[int, ...]]:
+        if i == n:
+            yield tuple(values)
+            return
+        for v in range(values[i - 1], i):
+            values[i] = v
+            yield from extend(i + 1)
+
+    return extend(1)
+
+
+def _automorphism_count(children: list[list[int]], code: list[int]) -> int:
+    """|Aut| of a rooted tree: the product, over all vertices, of the
+    factorials of the multiplicities of equal child shapes."""
+    count = 1
+    for kids in children:
+        for m in Counter(code[u] for u in kids).values():
+            count *= math.factorial(m)
+    return count
+
+
+def tree_shapes(n: int) -> list[TreeClass]:
+    """One TreeClass per conjugation orbit of functional trees on Z_n, in
+    the order of their representatives, without walking any orbit.
+
+    The least table of an orbit is a non-decreasing parent array.  Fixed
+    position by position, its entry 0 is 0 (the root takes label 0), and
+    entry i is least when label i goes to a child of the least label that
+    still has an unlabeled child; that label is below i and never
+    decreases.  So the first array of each shape (AHU code of the root, from
+    digraph._structure) in lexicographic order is the orbit's least table.
+    The class size is n! / |Aut| (orbit-stabilizer).
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    ids: dict[tuple[int, ...], int] = {}
+    seen: set[int] = set()
+    classes = []
+    for values in _ordered_parent_arrays(n):
+        _, children, code = _structure(values, ids)
+        if code[0] in seen:
+            continue
+        seen.add(code[0])
+        size = math.factorial(n) // _automorphism_count(children, code)
+        classes.append(TreeClass(FunctionalDigraph(values), size))
+    return classes
+
+
+def _labelings(values: tuple[int, ...], need: list[int]) -> Iterator[tuple[int, ...]]:
+    """Yield labelings sigma (sigma[v] is the label of vertex v) of the tree
+    whose n-1 non-loop edge labels |sigma(f(v)) - sigma(v)| use up the
+    label counts need (need[0] must be 0).
+
+    Vertices are placed breadth-first from the root, so each edge label is
+    known when its tail is placed and is taken from need.  Twins (siblings
+    with equal AHU codes) take increasing labels, and the root takes only
+    the lower half of the labels, because twin swaps and sigma -> n-1-sigma
+    keep the edge labels.  Every realizable need still yields a labeling.
+    """
+    n = len(values)
+    _, children, code = _structure(values)
+    root = next(i for i, v in enumerate(values) if i == v)
+    order = [root]
+    twin = [-1] * n  # the previous twin of each vertex, or -1
+    for v in order:  # grows while it is read: a breadth-first order
+        kids = sorted(children[v], key=code.__getitem__)
+        for u, w in zip(kids, kids[1:]):
+            if code[u] == code[w]:
+                twin[w] = u
+        order.extend(kids)
+    sigma = [0] * n
+
+    def place(k: int, taken: int) -> Iterator[tuple[int, ...]]:
+        if k == n:
+            yield tuple(sigma)
+            return
+        v = order[k]
+        b = sigma[values[v]]
+        lo = sigma[twin[v]] if twin[v] >= 0 else -1
+        for label in range(n - 1, 0, -1):
+            if not need[label]:
+                continue
+            for a in (b - label, b + label):
+                if lo < a < n and not taken >> a & 1:
+                    sigma[v] = a
+                    need[label] -= 1
+                    yield from place(k + 1, taken | 1 << a)
+                    need[label] += 1
+
+    for a in range((n - 1) // 2 + 1):
+        sigma[root] = a
+        yield from place(1, 1 << a)
+
+
+def realizes(g: FunctionalDigraph, target: Sequence[int]) -> bool:
+    """True iff some relabeling sigma g sigma^(-1) of the functional tree g
+    has edge_labels equal to sorted(target).
+
+    A pruned labeling search stops at the first witness; the witness counts
+    only after the conjugated table's edge labels are read off and compared.
+    """
+    if not is_functional_tree(g):
+        raise ValueError("realizes needs a functional tree")
+    n = g.n
+    target = tuple(sorted(target))
+    if len(target) != n or not 0 <= target[0] <= target[-1] < n:
+        raise ValueError(f"not a label sequence on Z_{n}: {target!r}")
+    need = [0] * n
+    for label in target:
+        need[label] += 1
+    if need[0] != 1:
+        return False  # label 0 comes from the root's loop only
+    need[0] = 0
+    return any(
+        edge_labels(relabel(g, Permutation(sigma))) == target
+        for sigma in _labelings(g.values, need)
+    )
+
+
 @dataclass(frozen=True)
 class ConjectureReport:
     n: int
     classes: tuple[TreeClass, ...]
     missing: tuple[tuple[FunctionalDigraph, tuple[int, ...]], ...]
+    violations: tuple[str, ...] = ()  # failed invariants of the class list
 
     @property
     def holds(self) -> bool:
@@ -110,16 +271,32 @@ class ConjectureReport:
         return sum(c.size for c in self.classes)
 
 
+def _violations(n: int, classes: Sequence[TreeClass]) -> tuple[str, ...]:
+    """The invariants of a class list that fail: A000081 classes whose
+    sizes sum to Cayley's n^(n-1)."""
+    found = []
+    expected = rooted_tree_count(n)
+    if len(classes) != expected:
+        found.append(f"classes {len(classes)} != A000081({n}) = {expected}")
+    total = sum(c.size for c in classes)
+    if total != n ** (n - 1):
+        found.append(f"class_size_total {total} != n^(n-1) = {n ** (n - 1)}")
+    return tuple(found)
+
+
 def check_conjecture_42(n: int) -> ConjectureReport:
     """For every tree class, is every star sequence realized?  Any missing
     (class representative, sequence) pair is listed; an empty list means the
-    conjecture holds at this n."""
+    conjecture holds at this n.  Classes come from the shape sweep; the
+    class count and size total are checked against A000081 and n^(n-1)."""
     stars = star_sequences(n)
-    classes = tree_classes(n)
-    missing = []
-    for t in classes:
-        realized = class_sequences(t)
-        for seq in stars:
-            if seq not in realized:
-                missing.append((t.representative, seq))
-    return ConjectureReport(n=n, classes=tuple(classes), missing=tuple(missing))
+    classes = tree_shapes(n)
+    missing = tuple(
+        (t.representative, seq)
+        for t in classes
+        for seq in stars
+        if not realizes(t.representative, seq)
+    )
+    return ConjectureReport(
+        n=n, classes=tuple(classes), missing=missing, violations=_violations(n, classes)
+    )

@@ -60,7 +60,7 @@ class Permutation:
         return cls(values)
 
     def format(self) -> str:
-        return ",".join(str(v) for v in self.values)
+        return ",".join(map(str, self.values))
 
     def __call__(self, i: int) -> int:
         return self.values[i]
@@ -125,7 +125,7 @@ class FunctionalDigraph:
         return cls(values)
 
     def format(self) -> str:
-        return f"{self.n}:" + ",".join(str(v) for v in self.values)
+        return f"{self.n}:" + ",".join(map(str, self.values))
 
 
 def all_value_tables(n: int) -> Iterator[tuple[int, ...]]:
@@ -309,9 +309,13 @@ def conjugate_tables(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 
 def _structure(
     values: tuple[int, ...],
+    ids: dict[tuple[int, ...], int] | None = None,
 ) -> tuple[list[list[int]], list[list[int]], list[int]]:
     """Cycles (each in order v, f(v), ...), off-cycle in-neighbours, and an
-    AHU shape code per vertex: equal codes mean isomorphic in-subtrees."""
+    AHU shape code per vertex: equal codes mean isomorphic in-subtrees.
+
+    Codes are numbered in ids (sorted child codes -> code); pass one dict to
+    several calls to make their codes comparable across tables."""
     n = len(values)
     state = [0] * n  # 0 unvisited, 1 on the current walk, 2 finished
     cycles: list[list[int]] = []
@@ -337,7 +341,8 @@ def _structure(
     top_down = [v for cycle in cycles for v in cycle]
     for v in top_down:  # grows while it is read: a breadth-first order
         top_down.extend(children[v])
-    ids: dict[tuple[int, ...], int] = {}
+    if ids is None:
+        ids = {}
     code = [0] * n
     for v in reversed(top_down):
         key = tuple(sorted(code[u] for u in children[v]))

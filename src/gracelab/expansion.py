@@ -185,7 +185,7 @@ class SignedPermutation:
         return FunctionalDigraph(tuple(i + self.g(i) for i in range(self.n)))
 
     def format(self) -> str:
-        return ",".join(str(v) for v in self.images)
+        return ",".join(map(str, self.images))
 
 
 def enumerate_sp(n: int) -> list[SignedPermutation]:

@@ -23,6 +23,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import getitem
 from typing import Sequence, TypeVar
 
 from gracelab.digraph import functional_trees
@@ -93,16 +94,19 @@ def compute_F(n: int) -> SparsePoly:
     return result
 
 
+def _label_powers(n: int, base: int) -> list[list[int]]:
+    """rows[i][v] = base^|v - i|: the exponent term of the edge (i, v)."""
+    return [[base ** abs(v - i) for v in range(n)] for i in range(n)]
+
+
 def compute_F_bruteforce(n: int) -> SparsePoly:
-    """Oracle: scan all n^n functions and sum their label-sequence monomials."""
-    powers = [(n + 1) ** d for d in range(n)]
-    counts: Counter[int] = Counter()
-    for values in itertools.product(range(n), repeat=n):
-        e = 0
-        for i, v in enumerate(values):
-            e += powers[abs(v - i)]
-        counts[e] += 1
-    return SparsePoly(counts)
+    """Oracle: scan all n^n functions and sum their label-sequence monomials.
+
+    Choosing one term per row of _label_powers is choosing f, so the
+    product over rows visits every function once, and the sum of its
+    choice is that function's exponent.
+    """
+    return SparsePoly(Counter(map(sum, itertools.product(*_label_powers(n, n + 1)))))
 
 
 def encode_sequence(labels: Sequence[int], base: int) -> int:
@@ -241,14 +245,10 @@ def compute_P_bruteforce(n: int) -> SparsePoly:
     The trees come from the pruned search digraph.functional_trees, which
     uses only the cycle/loop definition of a tree.
     """
-    powers = [n**d for d in range(n)]
-    counts: Counter[int] = Counter()
-    for values in functional_trees(n):
-        e = 0
-        for i, v in enumerate(values):
-            e += powers[abs(v - i)]
-        counts[e] += 1
-    return SparsePoly(counts)
+    rows = _label_powers(n, n)
+    return SparsePoly(
+        Counter(sum(map(getitem, rows, values)) for values in functional_trees(n))
+    )
 
 
 def tdmtt_check(matrix: Sequence[Sequence[int]]) -> IdentityCheck:
@@ -266,12 +266,9 @@ def tdmtt_check(matrix: Sequence[Sequence[int]]) -> IdentityCheck:
         left += matrix[i][i] * det_via_minor_expansion(
             _principal_minor(laplacian, i), 0, 1
         )
-    right = 0
-    for values in functional_trees(n):
-        term = 1
-        for i, v in enumerate(values):
-            term *= matrix[i][v]
-        right += term
+    right = sum(
+        math.prod(map(getitem, matrix, values)) for values in functional_trees(n)
+    )
     return IdentityCheck(left, right)
 
 

@@ -87,10 +87,10 @@ class TestGenfun:
 
     def test_oracle_gate(self, capsys):
         code, _, err = invoke(
-            capsys, "genfun", "--which", "f", "--n", "8", "--oracle"
+            capsys, "genfun", "--which", "f", "--n", "9", "--oracle"
         )
         assert code == 2
-        assert "genfun-oracle" in err
+        assert "genfun-oracle: n=9 outside feasible range [1, 8]" in err
 
 
 class TestCoeff:
@@ -190,6 +190,34 @@ class TestChecksExitZero:
         assert code == 0
         assert "holds: true" in out
         assert "classes: 4" in out
+
+    def test_conjecture_past_the_old_ceiling(self, capsys):
+        code, out, _ = invoke(capsys, "conjecture", "--n", "8")
+        assert code == 0
+        assert out.endswith("classes: 115\nclass_size_total: 2097152\nholds: true\n")
+
+    def test_conjecture_past_the_ceiling_is_usage_error(self, capsys):
+        code, out, err = invoke(capsys, "conjecture", "--n", "11")
+        assert code == 2 and out == ""
+        assert "conjecture: n=11 outside feasible range [1, 10]" in err
+
+    def test_props_past_the_ceiling_is_usage_error(self, capsys):
+        code, out, err = invoke(capsys, "props", "--n", "9")
+        assert code == 2 and out == ""
+        assert "props: n=9 outside feasible range [2, 8]" in err
+
+    def test_conjecture_invariant_failure_exits_one(self, capsys, monkeypatch):
+        from gracelab import conjecture
+
+        shapes = conjecture.tree_shapes(4)
+        monkeypatch.setattr(conjecture, "tree_shapes", lambda n: shapes[:-1])
+        code, out, _ = invoke(capsys, "conjecture", "--n", "4")
+        assert code == 1
+        assert "invariant failed: classes 3 != A000081(4) = 4" in out.splitlines()
+        code, out, _ = invoke(capsys, "conjecture", "--n", "4", "--format", "structured")
+        doc = json.loads(out)
+        assert code == 1 and doc["status"] == "fail"
+        assert doc["violations"][0] == "classes 3 != A000081(4) = 4"
 
     def test_grl(self, capsys):
         code, out, _ = invoke(capsys, "grl", "--graph", "5:0,0,0,0,0")

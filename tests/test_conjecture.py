@@ -2,14 +2,22 @@ import math
 
 import pytest
 
+from gracelab import conjecture
 from gracelab.conjecture import (
     TreeClass,
+    _orbit,
     check_conjecture_42,
     class_sequences,
+    realizes,
+    rooted_tree_count,
     star_sequences,
     tree_classes,
+    tree_shapes,
 )
 from gracelab.digraph import FunctionalDigraph, edge_labels
+
+# OEIS A000081, n = 1..10
+A000081 = (1, 1, 2, 4, 9, 20, 48, 115, 286, 719)
 
 
 class TestStarSequences:
@@ -124,3 +132,113 @@ class TestConjectureSweep:
             graceful_sequence = tuple(range(n))
             for c in report.classes:
                 assert graceful_sequence in class_sequences(c)
+
+
+def orbit_missing(n):
+    """The orbit sweep: missing (representative, star sequence) pairs."""
+    return tuple(
+        (c.representative, seq)
+        for c in tree_classes(n)
+        for seq in star_sequences(n)
+        if seq not in class_sequences(c)
+    )
+
+
+class TestTreeShapes:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_representatives_and_sizes_match_the_orbit_walk(self, n):
+        shapes = tree_shapes(n)
+        orbits = tree_classes(n)
+        assert [c.representative for c in shapes] == [c.representative for c in orbits]
+        assert [c.size for c in shapes] == [c.size for c in orbits]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_representative_is_the_least_orbit_table(self, n):
+        for c in tree_shapes(n):
+            orbit = _orbit(c.representative.values)
+            assert c.representative.values == min(orbit)
+            assert c.size == len(orbit)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_class_counts_are_a000081(self, n):
+        assert rooted_tree_count(n) == A000081[n - 1]
+        assert len(tree_shapes(n)) == A000081[n - 1]
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_sizes_sum_to_cayley_count(self, n):
+        assert sum(c.size for c in tree_shapes(n)) == n ** (n - 1)
+
+    def test_shapes_carry_no_orbit_sequences(self):
+        assert all(c.sequences is None for c in tree_shapes(5))
+
+
+class TestRealizes:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_agrees_with_the_orbit_sequences(self, n):
+        classes = tree_classes(n)
+        every = set().union(*(class_sequences(c) for c in classes))
+        for c in classes:
+            realized = class_sequences(c)
+            for seq in every:
+                assert realizes(c.representative, seq) == (seq in realized)
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_star_cannot_realize_the_path_sequence(self, n):
+        path_sequence = (0,) + (1,) * (n - 1)
+        unrealized = [
+            c.representative
+            for c in tree_shapes(n)
+            if not realizes(c.representative, path_sequence)
+        ]
+        star = FunctionalDigraph((0,) * n)
+        path = FunctionalDigraph((0,) + tuple(range(n - 1)))
+        assert star in unrealized
+        assert path not in unrealized
+
+    def test_any_root_and_label_order(self):
+        # the path 0 <- 1 <- 2 rooted at 2, target given unsorted
+        assert realizes(FunctionalDigraph((1, 2, 2)), (2, 0, 1))
+
+    def test_a_witness_counts_only_after_the_recheck(self, monkeypatch):
+        g = FunctionalDigraph((0, 0, 0))
+        assert realizes(g, (0, 1, 2))
+        monkeypatch.setattr(
+            conjecture, "_labelings", lambda values, need: iter([(1, 0, 2)])
+        )
+        # centre labeled 1: the conjugate 3:1,1,1 has labels 0,1,1
+        assert not realizes(g, (0, 1, 2))
+
+    def test_rejects_a_bad_target_and_a_non_tree(self):
+        with pytest.raises(ValueError):
+            realizes(FunctionalDigraph((0, 0, 0)), (0, 1))
+        with pytest.raises(ValueError):
+            realizes(FunctionalDigraph((0, 0, 0)), (0, 1, 3))
+        with pytest.raises(ValueError):
+            realizes(FunctionalDigraph((1, 0)), (0, 1))
+
+
+class TestShapeSweep:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_the_orbit_sweep(self, n):
+        report = check_conjecture_42(n)
+        assert list(report.classes) == tree_classes(n)
+        assert report.missing == orbit_missing(n)
+        assert report.violations == ()
+
+    def test_walks_no_orbit(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the shape sweep walked an orbit")
+
+        for name in ("conjugate_tables", "tree_classes", "class_sequences"):
+            monkeypatch.setattr(conjecture, name, forbidden)
+        assert check_conjecture_42(6).holds
+
+    def test_dropped_class_breaks_both_invariants(self, monkeypatch):
+        shapes = tree_shapes(5)
+        monkeypatch.setattr(conjecture, "tree_shapes", lambda n: shapes[1:])
+        report = check_conjecture_42(5)
+        assert report.holds
+        assert report.violations == (
+            "classes 8 != A000081(5) = 9",
+            f"class_size_total {5**4 - shapes[0].size} != n^(n-1) = 625",
+        )

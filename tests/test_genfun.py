@@ -82,6 +82,15 @@ def is_tree_table(values):
     return is_functional_tree(FunctionalDigraph(values))
 
 
+def label_monomials(tables, base):
+    """The plain per-table loop: one monomial x^(sum base^|f(i)-i|) per table."""
+    counts = {}
+    for values in tables:
+        e = sum(base ** abs(v - i) for i, v in enumerate(values))
+        counts[e] = counts.get(e, 0) + 1
+    return SparsePoly(counts)
+
+
 class TestMatrixBuild:
     def test_n2_entries(self):
         m = build_F_matrix(2)
@@ -113,6 +122,10 @@ class TestComputeF:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_total_count(self, n):
         assert compute_F(n).eval_at_one() == n**n
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_bruteforce_is_the_per_table_sum(self, n):
+        assert compute_F_bruteforce(n) == label_monomials(all_value_tables(n), n + 1)
 
     def test_diagonal_determinant_form(self):
         # det(diag(X*1)) of the row-sum diagonal equals the row-sum product
@@ -290,6 +303,11 @@ class TestComputeP:
     def test_tree_count(self, n):
         assert compute_P(n).eval_at_one() == n ** (n - 1)
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_bruteforce_is_the_per_tree_sum(self, n):
+        trees = (t for t in all_value_tables(n) if is_tree_table(t))
+        assert compute_P_bruteforce(n) == label_monomials(trees, n)
+
     def test_min_degree_n3(self):
         assert compute_P(3).min_degree() == 7
 
@@ -338,6 +356,18 @@ class TestTdmtt:
     @pytest.mark.parametrize("seed", (1, 2, 3))
     def test_random_matrices(self, n, seed):
         assert tdmtt_check(integer_matrix(n, seed, 1, 50)).equal
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_right_side_is_the_per_tree_product_sum(self, n):
+        matrix = integer_matrix(n, 4, 1, 50)
+        right = 0
+        for values in all_value_tables(n):
+            if is_tree_table(values):
+                term = 1
+                for i, v in enumerate(values):
+                    term *= matrix[i][v]
+                right += term
+        assert tdmtt_check(matrix).right == right
 
 
 class TestPropertyReports:
