@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -29,7 +30,7 @@ __all__ = ["main", "run"]
 MAX_N = {
     "graceful": 10,
     "grl": 10,
-    "gammas": 12,
+    "gammas": 13,
     "sp": 7,
     "tau": 9,
     "genfun-f": 9,
@@ -82,113 +83,122 @@ def _bool(flag: bool) -> str:
 
 
 
-def _cmd_labels(args) -> tuple[int, dict, list[str]]:
+def _cmd_labels(args) -> tuple[int, dict | list[str]]:
     g = _parse_graph(args.graph)
     labels = digraph_mod.edge_labels(g)
-    text = ",".join(str(v) for v in labels)
-    doc = {"command": "labels", "graph": g.format(), "labels": list(labels)}
-    return 0, doc, [text]
+    if args.format == "structured":
+        return 0, {"command": "labels", "graph": g.format(), "labels": list(labels)}
+    return 0, [",".join(map(str, labels))]
 
 
-def _cmd_graceful(args) -> tuple[int, dict, list[str]]:
+def _cmd_graceful(args) -> tuple[int, dict | list[str]]:
     g = _parse_graph(args.graph)
     _gate("graceful", g.n)
     labeled = digraph_mod.is_gracefully_labeled(g)
     graceful = digraph_mod.is_graceful(g)
-    doc = {
-        "command": "graceful",
-        "graph": g.format(),
-        "gracefully_labeled": labeled,
-        "graceful": graceful,
-    }
-    lines = [f"gracefully_labeled: {_bool(labeled)}", f"graceful: {_bool(graceful)}"]
-    return 0, doc, lines
+    if args.format == "structured":
+        return 0, {
+            "command": "graceful",
+            "graph": g.format(),
+            "gracefully_labeled": labeled,
+            "graceful": graceful,
+        }
+    return 0, [f"gracefully_labeled: {_bool(labeled)}", f"graceful: {_bool(graceful)}"]
 
 
-def _cmd_grl(args) -> tuple[int, dict, list[str]]:
+def _cmd_grl(args) -> tuple[int, dict | list[str]]:
     g = _parse_graph(args.graph)
     _gate("grl", g.n)
     members = digraph_mod.grl_set(g)
+    if args.format == "structured":
+        return 0, {
+            "command": "grl",
+            "graph": g.format(),
+            "members": [m.format() for m in members],
+            "count": len(members),
+        }
     shown = members if args.limit is None else members[: args.limit]
     lines = [m.format() for m in shown]
     lines.append(f"count: {len(members)}")
-    doc = {
-        "command": "grl",
-        "graph": g.format(),
-        "members": [m.format() for m in members],
-        "count": len(members),
-    }
-    return 0, doc, lines
+    return 0, lines
 
 
-def _cmd_gammas(args) -> tuple[int, dict, list[str]]:
-    _gate("gammas", args.n, minimum=2)
-    gammas = expansion_mod.enumerate_valid_gammas(args.n)
-    count = expansion_mod.count_valid_gammas(args.n)
+def _cmd_gammas(args) -> tuple[int, dict | list[str]]:
+    n = args.n
+    _gate("gammas", n, minimum=2)
+    gammas = expansion_mod.valid_gamma_tuples(n)
+    count = expansion_mod.count_valid_gammas(n)
     agree = len(gammas) == count
+    code = 0 if agree else 1
+    # the same text as Permutation.format, from one template per run
+    template = ",".join(["%d"] * n)
+    if args.format == "structured":
+        return code, {
+            "command": "gammas",
+            "n": n,
+            "gammas": [template % values for values in gammas],
+            "enumerated": len(gammas),
+            "formula": count,
+            "status": "pass" if agree else "fail",
+        }
     shown = gammas if args.limit is None else gammas[: args.limit]
-    lines = [g.format() for g in shown]
-    lines.append(f"{len(gammas)} = {(args.n - 1) // 2}!*{args.n // 2}!")
+    lines = [template % values for values in shown]
+    lines.append(f"{len(gammas)} = {(n - 1) // 2}!*{n // 2}!")
     if not agree:
         lines.append(f"MISMATCH: enumerated {len(gammas)}, formula {count}")
-    doc = {
-        "command": "gammas",
-        "n": args.n,
-        "gammas": [g.format() for g in gammas],
-        "enumerated": len(gammas),
-        "formula": count,
-        "status": "pass" if agree else "fail",
-    }
-    return (0 if agree else 1), doc, lines
+    return code, lines
 
 
-def _cmd_sp(args) -> tuple[int, dict, list[str]]:
+def _cmd_sp(args) -> tuple[int, dict | list[str]]:
     _gate("sp", args.n, minimum=2)
     sps = expansion_mod.enumerate_sp(args.n)
     matrix = integer_matrix(args.n, args.seed, 1, 100)
     check = expansion_mod.sp_sum_identity_check(args.n, matrix)
+    code = 0 if check.equal else 1
+    if args.format == "structured":
+        return code, {
+            "command": "sp",
+            "n": args.n,
+            "seed": args.seed,
+            "signed_permutations": [sp.format() for sp in sps],
+            "count": len(sps),
+            "left": check.left,
+            "right": check.right,
+            "status": "pass" if check.equal else "fail",
+        }
     shown = sps if args.limit is None else sps[: args.limit]
     lines = [sp.format() for sp in shown]
     lines.append(f"count: {len(sps)}")
     lines.append(
         f"identity: left={check.left} right={check.right} equal={_bool(check.equal)}"
     )
-    doc = {
-        "command": "sp",
-        "n": args.n,
-        "seed": args.seed,
-        "signed_permutations": [sp.format() for sp in sps],
-        "count": len(sps),
-        "left": check.left,
-        "right": check.right,
-        "status": "pass" if check.equal else "fail",
-    }
-    return (0 if check.equal else 1), doc, lines
+    return code, lines
 
 
-def _cmd_tau(args) -> tuple[int, dict, list[str]]:
+def _cmd_tau(args) -> tuple[int, dict | list[str]]:
     _gate("tau", args.n, minimum=2)
     lower, upper = expansion_mod.tau_bounds(args.n)
     tau = expansion_mod.tau_bruteforce(args.n)
     ok = lower <= tau <= upper
-    lines = [
+    code = 0 if ok else 1
+    if args.format == "structured":
+        return code, {
+            "command": "tau",
+            "n": args.n,
+            "lower": lower,
+            "tau": tau,
+            "upper": upper,
+            "status": "pass" if ok else "fail",
+        }
+    return code, [
         f"lower: {lower}",
         f"tau: {tau}",
         f"upper: {upper}",
         f"within_bounds: {_bool(ok)}",
     ]
-    doc = {
-        "command": "tau",
-        "n": args.n,
-        "lower": lower,
-        "tau": tau,
-        "upper": upper,
-        "status": "pass" if ok else "fail",
-    }
-    return (0 if ok else 1), doc, lines
 
 
-def _cmd_genfun(args) -> tuple[int, dict, list[str]]:
+def _cmd_genfun(args) -> tuple[int, dict | list[str]]:
     which = args.which
     _gate(f"genfun-{which}", args.n, minimum=1 if which == "f" else 2)
     if args.oracle:
@@ -199,28 +209,30 @@ def _cmd_genfun(args) -> tuple[int, dict, list[str]]:
     else:
         poly = genfun_mod.compute_P(args.n)
         reference = genfun_mod.compute_P_bruteforce(args.n) if args.oracle else None
+    identical = not args.oracle or reference == poly
+    code = 0 if identical else 1
+    if args.format == "structured":
+        doc = {
+            "command": "genfun",
+            "which": which,
+            "n": args.n,
+            "terms": poly.to_pairs(),
+            "status": "fail" if code else "pass",
+        }
+        if args.oracle:
+            doc["oracle"] = "identical" if identical else "mismatch"
+        return code, doc
     lines = [_poly_json(poly)]
-    status = "pass"
     if args.oracle:
-        if reference == poly:
+        if identical:
             lines.append("oracle: identical")
         else:
-            status = "fail"
             lines.append("oracle: MISMATCH")
             lines.append(f"oracle_poly: {_poly_json(reference)}")
-    doc = {
-        "command": "genfun",
-        "which": which,
-        "n": args.n,
-        "terms": poly.to_pairs(),
-        "status": status,
-    }
-    if args.oracle:
-        doc["oracle"] = "identical" if status == "pass" else "mismatch"
-    return (0 if status == "pass" else 1), doc, lines
+    return code, lines
 
 
-def _cmd_coeff(args) -> tuple[int, dict, list[str]]:
+def _cmd_coeff(args) -> tuple[int, dict | list[str]]:
     try:
         labels = tuple(int(part) for part in args.sequence.split(","))
     except ValueError:
@@ -235,59 +247,60 @@ def _cmd_coeff(args) -> tuple[int, dict, list[str]]:
         raise UsageError(str(err)) from None
     poly = genfun_mod.compute_F(n) if which == "f" else genfun_mod.compute_P(n)
     coefficient = poly.coefficient(exponent)
-    lines = [f"exponent: {exponent}", f"coefficient: {coefficient}"]
-    doc = {
-        "command": "coeff",
-        "which": which,
-        "sequence": list(labels),
-        "exponent": str(exponent),
-        "coefficient": str(coefficient),
-    }
-    return 0, doc, lines
+    if args.format == "structured":
+        return 0, {
+            "command": "coeff",
+            "which": which,
+            "sequence": list(labels),
+            "exponent": str(exponent),
+            "coefficient": str(coefficient),
+        }
+    return 0, [f"exponent: {exponent}", f"coefficient: {coefficient}"]
 
 
-def _cmd_props(args) -> tuple[int, dict, list[str]]:
+def _cmd_props(args) -> tuple[int, dict | list[str]]:
     _gate("props", args.n, minimum=2)
     reports = []
     if args.which in (None, "f"):
         reports.append(genfun_mod.check_F_properties(args.n))
     if args.which in (None, "p"):
         reports.append(genfun_mod.check_P_properties(args.n))
-    lines: list[str] = []
-    for report in reports:
-        for line in report.to_text():
-            lines.append(f"{report.which}: {line}")
     ok = all(report.ok for report in reports)
-    doc = {
-        "command": "props",
-        "n": args.n,
-        "reports": [report.to_doc() for report in reports],
-        "status": "pass" if ok else "fail",
-    }
-    return (0 if ok else 1), doc, lines
+    code = 0 if ok else 1
+    if args.format == "structured":
+        return code, {
+            "command": "props",
+            "n": args.n,
+            "reports": [report.to_doc() for report in reports],
+            "status": "pass" if ok else "fail",
+        }
+    return code, [
+        f"{report.which}: {line}" for report in reports for line in report.to_text()
+    ]
 
 
-def _cmd_tdmtt(args) -> tuple[int, dict, list[str]]:
+def _cmd_tdmtt(args) -> tuple[int, dict | list[str]]:
     _gate("tdmtt", args.n, minimum=1)
     matrix = integer_matrix(args.n, args.seed, 1, 50)
     check = genfun_mod.tdmtt_check(matrix)
-    lines = [
+    code = 0 if check.equal else 1
+    if args.format == "structured":
+        return code, {
+            "command": "tdmtt",
+            "n": args.n,
+            "seed": args.seed,
+            "left": check.left,
+            "right": check.right,
+            "status": "pass" if check.equal else "fail",
+        }
+    return code, [
         f"left: {check.left}",
         f"right: {check.right}",
         f"equal: {_bool(check.equal)}",
     ]
-    doc = {
-        "command": "tdmtt",
-        "n": args.n,
-        "seed": args.seed,
-        "left": check.left,
-        "right": check.right,
-        "status": "pass" if check.equal else "fail",
-    }
-    return (0 if check.equal else 1), doc, lines
 
 
-def _cmd_whitty(args) -> tuple[int, dict, list[str]]:
+def _cmd_whitty(args) -> tuple[int, dict | list[str]]:
     _gate("whitty", args.n, minimum=2)
     if args.symbolic:
         matrix = whitty_mod.symbolic_matrix(args.n)
@@ -302,8 +315,22 @@ def _cmd_whitty(args) -> tuple[int, dict, list[str]]:
         lhs_text = str(check.lhs)
         rhs_text = str(check.rhs)
     ok = check.equal_up_to_calibrated_sign
+    code = 0 if ok else 1
     parity = whitty_mod._column_reversal_parity(args.n)
-    lines = [
+    if args.format == "structured":
+        return code, {
+            "command": "whitty",
+            "n": args.n,
+            "symbolic": args.symbolic,
+            "seed": None if args.symbolic else args.seed,
+            "lhs": lhs_text,
+            "rhs": rhs_text,
+            "column_reversal_parity": parity,
+            "calibration": check.calibration.to_doc(),
+            "label_signature_reading_agrees": check.label_signature_reading_agrees,
+            "status": "pass" if ok else "fail",
+        }
+    return code, [
         f"lhs: {lhs_text}",
         f"rhs: {rhs_text}",
         f"column_reversal_parity: {parity:+d}",
@@ -311,22 +338,9 @@ def _cmd_whitty(args) -> tuple[int, dict, list[str]]:
         f"pass: {_bool(ok)}",
         f"label_signature_reading_agrees: {_bool(check.label_signature_reading_agrees)}",
     ]
-    doc = {
-        "command": "whitty",
-        "n": args.n,
-        "symbolic": args.symbolic,
-        "seed": None if args.symbolic else args.seed,
-        "lhs": lhs_text,
-        "rhs": rhs_text,
-        "column_reversal_parity": parity,
-        "calibration": check.calibration.to_doc(),
-        "label_signature_reading_agrees": check.label_signature_reading_agrees,
-        "status": "pass" if ok else "fail",
-    }
-    return (0 if ok else 1), doc, lines
 
 
-def _cmd_neighbors(args) -> tuple[int, dict, list[str]]:
+def _cmd_neighbors(args) -> tuple[int, dict | list[str]]:
     g = _parse_graph(args.graph)
     _gate("neighbors", g.n)
     if args.oracle:
@@ -335,17 +349,26 @@ def _cmd_neighbors(args) -> tuple[int, dict, list[str]]:
     if args.oracle:
         report = neighbors_mod.completeness_check(fam)
         generated = report.generated
+        complete = not report.missing and not report.extra
     else:
         report = None
         generated = tuple(neighbors_mod.neighbors_via_expansion(fam))
+        complete = True
+    code = 0 if complete else 1
+    if args.format == "structured":
+        doc = {
+            "command": "neighbors",
+            "graph": g.format(),
+            "generated": [h.format() for h in generated],
+        }
+        if report is not None:
+            doc["oracle"] = [h.format() for h in report.oracle]
+            doc["missing"] = [h.format() for h in report.missing]
+            doc["extra"] = [h.format() for h in report.extra]
+            doc["status"] = "pass" if complete else "fail"
+        return code, doc
     shown = generated if args.limit is None else generated[: args.limit]
     lines = [h.format() for h in shown]
-    doc = {
-        "command": "neighbors",
-        "graph": g.format(),
-        "generated": [h.format() for h in generated],
-    }
-    code = 0
     if report is not None:
         lines.append("oracle:")
         lines.extend(h.format() for h in report.oracle)
@@ -353,19 +376,33 @@ def _cmd_neighbors(args) -> tuple[int, dict, list[str]]:
         lines.extend(h.format() for h in report.missing)
         lines.append("extra:")
         lines.extend(h.format() for h in report.extra)
-        complete = not report.missing and not report.extra
         lines.append(f"complete: {_bool(complete)}")
-        doc["oracle"] = [h.format() for h in report.oracle]
-        doc["missing"] = [h.format() for h in report.missing]
-        doc["extra"] = [h.format() for h in report.extra]
-        doc["status"] = "pass" if complete else "fail"
-        code = 0 if complete else 1
-    return code, doc, lines
+    return code, lines
 
 
-def _cmd_conjecture(args) -> tuple[int, dict, list[str]]:
+def _cmd_conjecture(args) -> tuple[int, dict | list[str]]:
     _gate("conjecture", args.n, minimum=1)
     report = conjecture_mod.check_conjecture_42(args.n)
+    ok = report.holds and not report.violations
+    code = 0 if ok else 1
+    if args.format == "structured":
+        doc = {
+            "command": "conjecture",
+            "n": args.n,
+            "classes": [
+                {"representative": c.representative.format(), "size": c.size}
+                for c in report.classes
+            ],
+            "missing": [
+                {"class": rep.format(), "sequence": list(seq)}
+                for rep, seq in report.missing
+            ],
+            "class_size_total": report.class_size_total,
+        }
+        if report.violations:
+            doc["violations"] = list(report.violations)
+        doc["status"] = "pass" if ok else "fail"
+        return code, doc
     missing_by_class: dict[str, list[str]] = {}
     for rep, seq in report.missing:
         missing_by_class.setdefault(rep.format(), []).append(
@@ -383,24 +420,7 @@ def _cmd_conjecture(args) -> tuple[int, dict, list[str]]:
     lines.append(f"class_size_total: {report.class_size_total}")
     lines.append(f"holds: {_bool(report.holds)}")
     lines.extend(f"invariant failed: {v}" for v in report.violations)
-    ok = report.holds and not report.violations
-    doc = {
-        "command": "conjecture",
-        "n": args.n,
-        "classes": [
-            {"representative": c.representative.format(), "size": c.size}
-            for c in report.classes
-        ],
-        "missing": [
-            {"class": rep.format(), "sequence": list(seq)}
-            for rep, seq in report.missing
-        ],
-        "class_size_total": report.class_size_total,
-    }
-    if report.violations:
-        doc["violations"] = list(report.violations)
-    doc["status"] = "pass" if ok else "fail"
-    return (0 if ok else 1), doc, lines
+    return code, lines
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -478,26 +498,47 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv: Sequence[str]) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+def _execute(argv: Sequence[str]) -> tuple[int, str]:
+    """Exit status and the stdout text of one command, rendered only in the
+    format it asks for; usage errors are reported on stderr."""
+    args = _build_parser().parse_args(argv)
     try:
         _check_limit(args)
         _check_seed(args)
-        code, doc, lines = args.handler(args)
+        code, out = args.handler(args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
+        return 2, ""
     if args.format == "structured":
-        print(json.dumps(doc, indent=2))
-    else:
-        for line in lines:
-            print(line)
+        return code, json.dumps(out, indent=2) + "\n"
+    return code, "\n".join(out) + "\n" if out else ""
+
+
+def _write(text: str) -> None:
+    # sys.stdout is looked up at write time: callers may redirect it
+    if text:
+        sys.stdout.write(text)
+
+
+def run(argv: Sequence[str]) -> int:
+    code, text = _execute(argv)
+    _write(text)
     return code
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code, text = _execute(sys.argv[1:])
+    try:
+        _write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``gracelab gammas --n 12 | head -1``).
+        # As the Python signal docs recommend, point stdout at devnull so the
+        # flush at interpreter exit cannot fail again; the exit status stays
+        # the command's own.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -84,7 +84,9 @@ def _sequences(orbit: set[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
 def tree_classes(n: int) -> list[TreeClass]:
     """One canonical representative per conjugation orbit of functional trees.
 
-    Trees come from the pruned search digraph.functional_trees; each unseen
+    Oracle only: the CLI sweep (check_conjecture_42) takes its classes from
+    tree_shapes and decides each sequence with realizes; this orbit walk is
+    what the tests compare those against.  Trees come from the pruned search digraph.functional_trees; each unseen
     tree contributes its whole orbit at once, so canonicalization costs n!
     per class, not per tree.  Each class keeps the label sequences of that
     orbit, so class_sequences does not walk it again; classes share one
@@ -106,7 +108,10 @@ def tree_classes(n: int) -> list[TreeClass]:
 
 def class_sequences(t: TreeClass) -> frozenset[tuple[int, ...]]:
     """All label sequences realized over the relabelings of the class,
-    read off the distinct tables of its orbit (kept by tree_classes)."""
+    read off the distinct tables of its orbit (kept by tree_classes).
+
+    Oracle only, like tree_classes: the CLI sweep decides each sequence
+    with realizes instead."""
     if t.sequences is not None:
         return frozenset(t.sequences)
     return _sequences(_orbit(t.representative.values))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from gracelab.digraph import (
@@ -37,6 +38,7 @@ __all__ = [
     "sp_sum_identity_check",
     "tau_bounds",
     "tau_bruteforce",
+    "valid_gamma_tuples",
 ]
 
 
@@ -107,39 +109,59 @@ def enumerate_valid_gammas_by_filter(n: int) -> list[Permutation]:
     return out
 
 
-def enumerate_valid_gammas(n: int) -> list[Permutation]:
-    """Enumerate valid gammas by placing magnitudes largest-first.
+def valid_gamma_tuples(n: int) -> list[tuple[int, ...]]:
+    """Image tuples of the valid gammas, in ascending order.
 
-    Magnitude m can sit at index i only when i >= m (step down) or
-    i <= n-1-m (step up).  Magnitudes above ceil((n-1)/2) see disjoint
-    up/down ranges and are placed one by one; the remaining small
-    magnitudes fit every leftover index, so they are permuted freely.
+    Magnitudes are placed largest-first: magnitude m can sit at index i
+    only when i >= m (step down) or i <= n-1-m (step up).  Magnitudes above
+    ceil((n-1)/2) see disjoint up/down ranges and are placed one by one;
+    the remaining small magnitudes fit every leftover index, so they are
+    permuted freely.  Every tuple passes the same check as Permutation
+    (its sorted values are 0..n-1) before it is returned, else ValueError.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     small_top = n // 2  # ceil((n-1)/2)
     large = list(range(n - 1, small_top, -1))
-    small = list(range(1, small_top + 1))
-    results: list[Permutation] = []
+    small = range(1, small_top + 1)
+    results: list[tuple[int, ...]] = []
     gamma = [0] * n
 
     def place(k: int, open_indices: list[int]) -> None:
         if k == len(large):
-            for perm in itertools.permutations(small):
-                for idx, m in zip(open_indices, perm):
-                    gamma[idx] = m
-                results.append(Permutation(tuple(gamma)))
+            # Each gamma here is the placed values followed by one ordering
+            # of the small magnitudes, read back into index order.
+            placed = [i for i in range(n) if i not in open_indices]
+            head = tuple(gamma[i] for i in placed)
+            slot = {i: pos for pos, i in enumerate(placed + open_indices)}
+            reorder = itemgetter(*(slot[i] for i in range(n)))
+            orderings = itertools.permutations(small)
+            results.extend(map(reorder, map(head.__add__, orderings)))
             return
         m = large[k]
         for pos, i in enumerate(open_indices):
             if i >= m or i <= n - 1 - m:
                 gamma[i] = m
                 place(k + 1, open_indices[:pos] + open_indices[pos + 1 :])
-        return
 
     place(0, list(range(1, n)))
-    results.sort(key=lambda g: g.values)
+    results.sort()
+    identity = list(range(n))
+    for values in results:
+        if sorted(values) != identity:
+            raise ValueError(f"not a permutation of Z_{n}: {values!r}")
     return results
+
+
+def enumerate_valid_gammas(n: int) -> list[Permutation]:
+    """Enumerate the valid gammas as Permutations, in ascending order.
+
+    A wrapper over the one enumeration, valid_gamma_tuples: magnitudes are
+    placed largest-first into plain image tuples, which are sorted and each
+    checked to be a permutation of Z_n (ValueError otherwise) before any
+    Permutation is built.  The CLI lists the tuples themselves.
+    """
+    return [Permutation(values) for values in valid_gamma_tuples(n)]
 
 
 def count_valid_gammas(n: int) -> int:

@@ -59,9 +59,34 @@ class TestGammas:
         assert out.splitlines() == ["0,1,2,3,4", "4 = 2!*2!"]
 
     def test_n_too_large(self, capsys):
-        code, _, err = invoke(capsys, "gammas", "--n", "13")
+        code, _, err = invoke(capsys, "gammas", "--n", "14")
         assert code == 2
         assert "feasible range" in err
+
+    @pytest.mark.parametrize("limit", [0, 1, 5, 10**6])
+    def test_limit_prints_a_prefix_of_the_listing(self, capsys, limit):
+        _, full, _ = invoke(capsys, "gammas", "--n", "8")
+        code, out, _ = invoke(capsys, "gammas", "--n", "8", "--limit", str(limit))
+        listing = full.splitlines()
+        assert listing[-1] == "144 = 3!*4!"
+        assert code == 0
+        assert out.splitlines() == listing[:-1][:limit] + [listing[-1]]
+
+    def test_structured_list_is_the_text_listing(self, capsys):
+        _, text, _ = invoke(capsys, "gammas", "--n", "8")
+        code, out, _ = invoke(capsys, "gammas", "--n", "8", "--format", "structured")
+        assert code == 0
+        assert json.loads(out)["gammas"] == text.splitlines()[:-1]
+
+    def test_every_printed_gamma_passes_the_permutation_check(self, capsys, monkeypatch):
+        import itertools
+
+        monkeypatch.setattr(
+            itertools, "permutations", lambda small: [(small[0],) * len(small)]
+        )
+        with pytest.raises(ValueError, match="not a permutation"):
+            run(["gammas", "--n", "5", "--limit", "0"])
+        assert capsys.readouterr().out == ""
 
 
 class TestGenfun:
@@ -307,6 +332,32 @@ class TestStructuredDocs:
         lines = out.splitlines()
         assert lines[2] == "count: 4"
         assert len(lines) == 4
+
+
+class TestClosedPipe:
+    """``gracelab gammas --n 12 | head -1``: the reader goes away after one
+    line.  The command prints no traceback and keeps its own exit status."""
+
+    @pytest.mark.parametrize(
+        ("fmt", "first_line"),
+        [("text", b"0,1,2,3,4,5,6,7,8,9,10,11\n"), ("structured", b"{\n")],
+        ids=["text", "structured"],
+    )
+    def test_reader_closes_after_one_line(self, fmt, first_line):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gracelab", "gammas", "--n", "12", "--format", fmt],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert first == first_line
+        assert err == b""
 
 
 class TestConsoleScript:

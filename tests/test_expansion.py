@@ -22,6 +22,7 @@ from gracelab.expansion import (
     sp_sum_identity_check,
     tau_bounds,
     tau_bruteforce,
+    valid_gamma_tuples,
 )
 from gracelab.seeds import integer_matrix
 
@@ -141,6 +142,20 @@ class TestEnumerateValidGammas:
     def test_branching_matches_filter_oracle_n9(self):
         # the largest filter-feasible size: 362880 permutations scanned
         assert enumerate_valid_gammas(9) == enumerate_valid_gammas_by_filter(9)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_tuples_match_filter_oracle_in_order(self, n):
+        tuples = valid_gamma_tuples(n)
+        assert tuples == [g.values for g in enumerate_valid_gammas_by_filter(n)]
+        assert all(is_valid_gamma(Permutation(values)) for values in tuples)
+
+    def test_a_tuple_that_is_no_permutation_raises(self, monkeypatch):
+        # repeat one magnitude in the freely permuted block
+        monkeypatch.setattr(
+            itertools, "permutations", lambda small: [(small[0],) * len(small)]
+        )
+        with pytest.raises(ValueError, match="not a permutation of Z_5"):
+            valid_gamma_tuples(5)
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_count_matches_enumeration(self, n):
