@@ -7,11 +7,13 @@ functional trees; representatives are the lexicographically least value
 tables of their orbits.
 
 check_conjecture_42 sweeps tree shapes: one non-decreasing parent array per
-rooted-tree shape (tree_shapes), its class size by orbit-stabilizer, and a
-pruned labeling search per star sequence that stops at the first witness
-(realizes).  tree_classes and class_sequences walk each class's n! orbit
-instead; they stay as the oracle for the shape sweep, and the two share
-only the edge-label definition.
+rooted-tree shape (tree_shapes), its class size by orbit-stabilizer, and
+one witness per star sequence (realizes): the first hit of the labeling
+search of gracelab.digraph, given the sequence's label counts as its
+target, re-checked by reading off the edge labels.  tree_classes and
+class_sequences walk each class's n! orbit instead; they stay as the
+oracle for the shape sweep, and the two share only the edge-label
+definition.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import Iterator, Sequence
 from gracelab.digraph import (
     FunctionalDigraph,
     Permutation,
+    _labelings,
     _structure,
     conjugate_tables,
     edge_labels,
@@ -189,58 +192,14 @@ def tree_shapes(n: int) -> list[TreeClass]:
     return classes
 
 
-def _labelings(values: tuple[int, ...], need: list[int]) -> Iterator[tuple[int, ...]]:
-    """Yield labelings sigma (sigma[v] is the label of vertex v) of the tree
-    whose n-1 non-loop edge labels |sigma(f(v)) - sigma(v)| use up the
-    label counts need (need[0] must be 0).
-
-    Vertices are placed breadth-first from the root, so each edge label is
-    known when its tail is placed and is taken from need.  Twins (siblings
-    with equal AHU codes) take increasing labels, and the root takes only
-    the lower half of the labels, because twin swaps and sigma -> n-1-sigma
-    keep the edge labels.  Every realizable need still yields a labeling.
-    """
-    n = len(values)
-    _, children, code = _structure(values)
-    root = next(i for i, v in enumerate(values) if i == v)
-    order = [root]
-    twin = [-1] * n  # the previous twin of each vertex, or -1
-    for v in order:  # grows while it is read: a breadth-first order
-        kids = sorted(children[v], key=code.__getitem__)
-        for u, w in zip(kids, kids[1:]):
-            if code[u] == code[w]:
-                twin[w] = u
-        order.extend(kids)
-    sigma = [0] * n
-
-    def place(k: int, taken: int) -> Iterator[tuple[int, ...]]:
-        if k == n:
-            yield tuple(sigma)
-            return
-        v = order[k]
-        b = sigma[values[v]]
-        lo = sigma[twin[v]] if twin[v] >= 0 else -1
-        for label in range(n - 1, 0, -1):
-            if not need[label]:
-                continue
-            for a in (b - label, b + label):
-                if lo < a < n and not taken >> a & 1:
-                    sigma[v] = a
-                    need[label] -= 1
-                    yield from place(k + 1, taken | 1 << a)
-                    need[label] += 1
-
-    for a in range((n - 1) // 2 + 1):
-        sigma[root] = a
-        yield from place(1, 1 << a)
-
-
 def realizes(g: FunctionalDigraph, target: Sequence[int]) -> bool:
     """True iff some relabeling sigma g sigma^(-1) of the functional tree g
     has edge_labels equal to sorted(target).
 
-    A pruned labeling search stops at the first witness; the witness counts
-    only after the conjugated table's edge labels are read off and compared.
+    The labeling search of gracelab.digraph, with the label counts of the
+    target, stops at its first witness; it finds none unless the target has
+    exactly one 0, the root's loop.  The witness counts only after the
+    conjugated table's edge labels are read off and compared.
     """
     if not is_functional_tree(g):
         raise ValueError("realizes needs a functional tree")
@@ -251,9 +210,6 @@ def realizes(g: FunctionalDigraph, target: Sequence[int]) -> bool:
     need = [0] * n
     for label in target:
         need[label] += 1
-    if need[0] != 1:
-        return False  # label 0 comes from the root's loop only
-    need[0] = 0
     return any(
         edge_labels(relabel(g, Permutation(sigma))) == target
         for sigma in _labelings(g.values, need)

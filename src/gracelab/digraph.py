@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 __all__ = [
     "Permutation",
@@ -284,22 +284,27 @@ def conjugate_tables(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         yield _conjugate(values, s)
 
 
-# --- pruned conjugation search ---------------------------------------------
+# --- pruned labeling search ------------------------------------------------
 #
 # A conjugate sigma f sigma^(-1) has the edge label |sigma(f(v)) - sigma(v)|
-# at vertex sigma(v), so the search assigns sigma one vertex at a time and
-# checks each edge label against a bitmask as soon as both endpoints are
-# placed.  Cycle vertices go first (shortest cycles first, each in order
-# around the cycle), then every in-tree depth-first, so each tree edge is
-# checked when its tail is placed.  Four more cuts, each from the
-# definitions alone:
-# - label 0 comes from loops only, so a table without exactly one loop has
-#   no gracefully labeled conjugate;
+# at vertex sigma(v).  The search assigns sigma one vertex at a time and
+# takes each edge label from a label-count target as soon as both endpoints
+# are placed: the all-ones target asks for gracefully labeled conjugates,
+# realizes (gracelab.conjecture) for one label sequence.  Cycle vertices go
+# first (shortest cycles first, each in order around the cycle), then every
+# in-tree depth-first, so each tree edge is labeled when its tail is
+# placed; the vertex that closes a cycle completes two edges, which may
+# take the same label twice.  Candidates are tried largest needed label
+# first, which finds a first hit fast; depth-first placement keeps the
+# full enumerations (grl_set, expansion_family) smaller than breadth-first
+# would.  Four more cuts, each from the definitions alone:
+# - label 0 comes from loops only, so the search needs exactly one loop
+#   and a target with exactly one 0;
 # - twins, off-cycle siblings whose in-subtrees have the same shape, take
 #   increasing sigma values: swapping two twin subtrees is an automorphism
 #   of f, so every distinct conjugate table is still reached;
-# - a partial sigma is dropped when some unused edge label L has no pair of
-#   labels x, x + L left that an unplaced edge could join;
+# - a partial sigma is dropped when some label L still needed has no pair
+#   of labels x, x + L left that an unplaced edge could join;
 # - sigma and n-1-sigma give the same edge labels, and twin swaps fix the
 #   loop, so the loop takes only the lower half of the labels and each hit
 #   is yielded with its complement.
@@ -350,120 +355,111 @@ def _structure(
     return cycles, children, code
 
 
-def _graceful_conjugators(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+def _labelings(
+    values: tuple[int, ...], need: Sequence[int]
+) -> Iterator[tuple[int, ...]]:
     """Yield sigma (sigma[v] is the label of vertex v) for conjugates
-    sigma f sigma^(-1) that are gracefully labeled; every such conjugate
-    table comes from at least one yielded sigma."""
+    sigma f sigma^(-1) with need[L] edges of label L for every L; every
+    such conjugate table comes from at least one yielded sigma.  Yields
+    nothing unless f has exactly one loop and need[0] == 1."""
     n = len(values)
-    if sum(1 for v, w in enumerate(values) if v == w) != 1:
-        return  # label 0 comes from loops only, and it may be used once
+    if need[0] != 1 or sum(1 for v, w in enumerate(values) if v == w) != 1:
+        return
     cycles, children, code = _structure(values)
     order = [v for cycle in sorted(cycles, key=len) for v in cycle]
     twin = [-1] * n  # the previous twin of each vertex, or -1
-    for c in list(order):
-        stack = [c]
-        while stack:
-            v = stack.pop()
-            if v != c:
-                order.append(v)
-            kids = sorted(children[v], key=code.__getitem__)
-            for u, w in zip(kids, kids[1:]):
-                if code[u] == code[w]:
-                    twin[w] = u
-            stack.extend(reversed(kids))
+
+    def visit(v: int) -> None:
+        kids = sorted(children[v], key=code.__getitem__)
+        for u, w in zip(kids, kids[1:]):
+            if code[u] == code[w]:
+                twin[w] = u
+        for u in kids:
+            order.append(u)
+            visit(u)
+
+    for c in order[:]:
+        visit(c)
     pos = [0] * n
     for k, v in enumerate(order):
         pos[v] = k
-    # partners[k]: the placed endpoints of the edges completed at position
-    # k; a loop is completed at its own position with label 0.
+    # partners[k]: the placed endpoints of the non-loop edges completed at
+    # position k (two at the vertex that closes a cycle).  A placed vertex
+    # is open, with an unplaced neighbour, until position last[v]; so which
+    # vertices open and close at each position does not depend on sigma.
     partners: list[list[int]] = [[] for _ in range(n)]
-    pending = [0] * n  # neighbours not yet placed
+    last = pos[:]
     for x, y in enumerate(values):
-        if pos[x] >= pos[y]:
-            partners[pos[x]].append(y)
-        else:
-            partners[pos[y]].append(x)
         if x != y:
-            pending[x] += 1
-            pending[y] += 1
-    # After position k, a placed vertex is open while it has an unplaced
-    # neighbour; which vertices open and close at each position does not
-    # depend on sigma.
-    opens = [False] * n
+            u, k = (x, pos[y]) if pos[x] < pos[y] else (y, pos[x])
+            partners[k].append(u)
+            last[u] = max(last[u], k)
     closes: list[list[int]] = [[] for _ in range(n)]
-    for k, v in enumerate(order):
-        for w in partners[k]:
-            if w != v:
-                pending[w] -= 1
-                pending[v] -= 1
-                if pending[w] == 0:
-                    closes[k].append(w)
-        opens[k] = pending[v] > 0
-    full = (1 << n) - 1
+    for v in range(n):
+        if last[v] > pos[v]:
+            closes[last[v]].append(v)
     sigma = [0] * n
-    taken = 0  # vertex labels in use
-    used = 0  # edge labels in use
-    added = [0] * n  # edge-label bits set by the assignment at each position
-    open_at = [0] * n  # labels of the open vertices after each position
-    # order[0] is the loop (label 0); it takes the lower half of the labels
-    tries = [[(a, 1) for a in range((n - 1) // 2, -1, -1)]] + [[]] * (n - 1)
-    k = 0
-    while k >= 0:
-        if not tries[k]:
-            k -= 1
-            if k >= 0:  # back from k + 1: release the assignment at k
-                taken ^= 1 << sigma[order[k]]
-                used ^= added[k]
-            continue
-        a, bits = tries[k].pop()
-        sigma[order[k]] = a
-        if k == n - 1:
+    left = list(need)  # edges still to take each label
+    left[0] = 0  # the loop's edge takes the one 0
+
+    def place(k: int, free: int, needed: int, o: int) -> Iterator[tuple[int, ...]]:
+        # Positions below k are placed: free holds the labels not taken,
+        # needed those with left > 0 and o those of the open vertices.
+        if k == n:
             yield tuple(sigma)
             yield tuple(n - 1 - x for x in sigma)
-            continue
-        # Each unused edge label L still needs an unplaced edge between
-        # labels x and x + L: both free, or one free and one open.
-        free = full ^ taken ^ (1 << a)
-        o = open_at[k - 1] if k else 0
-        if opens[k]:
-            o |= 1 << a
-        for w in closes[k]:
-            o ^= 1 << sigma[w]
-        reach = free | o
-        unused = full ^ (used | bits)
-        while unused:
-            top = unused.bit_length() - 1
-            if not (free & (reach >> top) | o & (free >> top)):
-                break
-            unused ^= 1 << top
-        if unused:
-            continue
-        open_at[k] = o
-        taken |= 1 << a
-        used |= bits
-        added[k] = bits
-        k += 1
+            return
         v = order[k]
+        opens = last[v] > k
+        ps = partners[k]
+        if not ps:  # the loop, on the lower half, or the first vertex of a cycle
+            for a in range(n if k else (n + 1) // 2):
+                if free >> a & 1:
+                    sigma[v] = a
+                    p = o | 1 << a if opens else o
+                    yield from place(k + 1, free ^ 1 << a, needed, p)
+            return
         prev = twin[v]
         lo = sigma[prev] if prev >= 0 else -1
-        ps = partners[k]
-        if not ps:
-            tries[k] = [(a, 0) for a in range(n - 1, lo, -1) if not taken >> a & 1]
-            continue
         b = sigma[ps[0]]
-        opts = [
-            (a, 1 << abs(a - b))
-            for a in range(n - 1, lo, -1)
-            if not taken >> a & 1 and not used >> abs(a - b) & 1
-        ]
-        for w in ps[1:]:  # the edge that closes a cycle
-            b = sigma[w]
-            opts = [
-                (a, bits | 1 << abs(a - b))
-                for a, bits in opts
-                if not (used | bits) >> abs(a - b) & 1
-            ]
-        tries[k] = opts
+        w = ps[1] if len(ps) > 1 else -1  # the other end of the edge closing a cycle
+        rest = needed
+        while rest:  # largest needed label first
+            label = rest.bit_length() - 1
+            rest ^= 1 << label
+            for a in (b - label, b + label):
+                if not (lo < a < n and free >> a & 1):
+                    continue
+                c = abs(a - sigma[w]) if w >= 0 else 0  # that edge's label
+                if c and left[c] <= (c == label):
+                    continue  # no count left for it
+                sigma[v] = a
+                left[label] -= 1
+                now = needed if left[label] else needed ^ 1 << label
+                if c:
+                    left[c] -= 1
+                    if not left[c]:
+                        now ^= 1 << c
+                # Each label still needed wants an unplaced edge between
+                # labels x and x + L: both free, or one free, one open.
+                f = free ^ 1 << a
+                p = o | 1 << a if opens else o
+                for u in closes[k]:
+                    p ^= 1 << sigma[u]
+                reach = f | p
+                unmet = now
+                while unmet:
+                    top = unmet.bit_length() - 1
+                    if not (f & (reach >> top) | p & (f >> top)):
+                        break
+                    unmet ^= 1 << top
+                if not unmet:
+                    yield from place(k + 1, f, now, p)
+                left[label] += 1
+                if c:
+                    left[c] += 1
+
+    yield from place(0, (1 << n) - 1, sum(1 << x for x in range(n) if left[x]), 0)
 
 
 def _least_conjugator(
@@ -516,24 +512,25 @@ def _first_conjugators(
     lexicographically least sigma with sigma f sigma^(-1) == table."""
     code = _structure(values)[2]
     reached: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for s in _graceful_conjugators(values):
+    for s in _labelings(values, [1] * len(values)):
         reached.setdefault(_conjugate(values, s), s)
     return {t: _least_conjugator(values, t, s, code) for t, s in reached.items()}
 
 
 def is_graceful(g: FunctionalDigraph) -> bool:
-    """True iff some relabeling of g is gracefully labeled; the pruned
-    conjugation search stops at its first hit."""
-    return next(_graceful_conjugators(g.values), None) is not None
+    """True iff some relabeling of g is gracefully labeled; the labeling
+    search, with one edge of each label as its target, stops at its first
+    hit."""
+    return next(_labelings(g.values, [1] * g.n), None) is not None
 
 
 def grl_set(g: FunctionalDigraph) -> list[FunctionalDigraph]:
     """All distinct gracefully labeled conjugates of g, lexicographically sorted.
 
-    The pruned search may reach one table from several sigma (automorphisms
+    The labeling search may reach one table from several sigma (automorphisms
     other than twin swaps); the set keeps each once.
     """
-    found = {_conjugate(g.values, s) for s in _graceful_conjugators(g.values)}
+    found = {_conjugate(g.values, s) for s in _labelings(g.values, [1] * g.n)}
     return [FunctionalDigraph(t) for t in sorted(found)]
 
 

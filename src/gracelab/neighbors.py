@@ -58,10 +58,10 @@ def expansion_family(base: FunctionalDigraph) -> ExpansionFamily:
     Each such conjugate H = sigma f sigma^(-1) decomposes as
     id + (-1)^p * gamma, and conjugating back by sigma^(-1) re-expands to the
     base.  One member is kept per distinct gamma = |H - id|: the one that
-    the lexicographically first sigma of S_n yields.  The pruned conjugation
-    search finds every distinct H; for each, the least sigma reaching it is
-    recovered, and per gamma the H with the least such sigma is kept, so
-    only the kept H are decomposed.
+    the lexicographically first sigma of S_n yields.  The labeling search
+    of gracelab.digraph finds every distinct H; for each, the least sigma
+    reaching it is recovered, and per gamma the H with the least such sigma
+    is kept, so only the kept H are decomposed.
     """
     best: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for t, s in _first_conjugators(base.values).items():

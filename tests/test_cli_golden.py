@@ -6,6 +6,10 @@ subcommand learned to render only the format it is asked for, so it pins
 that rendering to the earlier bytes: every subcommand in text and
 structured format, with and without --limit where the subcommand takes
 it, one failing identity (the neighbors oracle) and one usage error.
+The rows for n = 8 and 10 (grl on the 10-path, neighbors on a 10-vertex
+table with a cycle, graceful on a 10-vertex tree, conjecture --n 8) were
+added later, generated from the command line as it stood before the
+graceful search and the witness search became one labeling search.
 """
 
 import hashlib
@@ -67,6 +71,14 @@ GOLDEN = [
     (('neighbors', '--graph', '4:0,0,0,0', '--oracle', '--format', 'structured'), 1, "d116567c526d8a7131aab9dbe54e3e9723b935be6862497b60eb5fbb3be553e8"),
     (('conjecture', '--n', '5'), 0, "df748e7abae33c43faf1723b178d1759702dcf598ddaf8b4c4ce3b16001b465a"),
     (('conjecture', '--n', '5', '--format', 'structured'), 0, "d23fbdc74b3cd0fc4de191aafd07f219310acb5b92ee1fa81f3b1c7f39a6ac8d"),
+    (('grl', '--graph', '10:0,0,1,2,3,4,5,6,7,8'), 0, "18dccd5c14738ab83478d281da584891084488b1aee39fd64ec929580686e167"),
+    (('grl', '--graph', '10:0,0,1,2,3,4,5,6,7,8', '--format', 'structured'), 0, "91267e401062c571ad1d055b39657816ddf61000dfd5ea50216a8a2a6ac4d306"),
+    (('neighbors', '--graph', '10:8,4,2,0,5,2,8,9,2,6'), 0, "4aed92d22725095da9d2c52c0be0d477f3b52c34e1138fbb3bb30f01903176ea"),
+    (('neighbors', '--graph', '10:8,4,2,0,5,2,8,9,2,6', '--format', 'structured'), 0, "8a2a725dc70952414e6d58a562bd4cc8ee8a745b0205ccb5522f0a532bce9420"),
+    (('graceful', '--graph', '10:0,0,0,1,1,2,3,3,5,8'), 0, "782963147109e4b0e2274998856ddadb0423ce25c94220511fc3741933c6dd9e"),
+    (('graceful', '--graph', '10:0,0,0,1,1,2,3,3,5,8', '--format', 'structured'), 0, "2ff188b52d0dbdbec550087b8d709895a1f52a98d3c0f0e94f242c8bd7c6439d"),
+    (('conjecture', '--n', '8'), 0, "1ceb24bfdaa9b866386d0a857ef69c9488dc95cb0cbf440fa8fa4c6e8507c529"),
+    (('conjecture', '--n', '8', '--format', 'structured'), 0, "83a96f51fcbcac4bdad7f30a1dd6fe4f96738dbef476b308d24a883342b8d8f7"),
     (('labels', '--graph', '3:0,9,1'), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 

@@ -208,6 +208,11 @@ class TestRealizes:
         # centre labeled 1: the conjugate 3:1,1,1 has labels 0,1,1
         assert not realizes(g, (0, 1, 2))
 
+    @pytest.mark.parametrize("target", [(1, 1, 2), (0, 0, 2)])
+    def test_a_target_without_exactly_one_zero_is_not_realized(self, target):
+        # label 0 comes from the root's loop only
+        assert realizes(FunctionalDigraph((0, 0, 0)), target) is False
+
     def test_rejects_a_bad_target_and_a_non_tree(self):
         with pytest.raises(ValueError):
             realizes(FunctionalDigraph((0, 0, 0)), (0, 1))

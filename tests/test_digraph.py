@@ -17,7 +17,7 @@ from gracelab.digraph import (
     is_functional_tree,
     relabel,
 )
-from gracelab.digraph import _labels_are_graceful
+from gracelab.digraph import _conjugate, _labelings, _labels_are_graceful
 
 
 def D(*values):
@@ -232,6 +232,30 @@ class TestConjugationSearch:
         g = FunctionalDigraph.parse("12:0,0,1,3,3,4,5,6,7,8,9,10")
         assert not is_graceful(g)
         assert grl_set(g) == []
+
+
+class TestLabelCountSearch:
+    """The labeling search for any label-count target against the plain n!
+    scan filtered by edge labels, on every conjugation class with n <= 5
+    (trees, cycles, zero or several loops) and every label sequence that
+    some table on Z_n has.  Repeated labels include the two edges a
+    vertex completes when it closes a cycle."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_the_filtered_scan_on_every_class(self, n):
+        sequences = sorted({edge_labels(FunctionalDigraph(t)) for t in all_value_tables(n)})
+        for rep, orbit in conjugation_classes(n):
+            by_labels = {}
+            for t in orbit:
+                by_labels.setdefault(edge_labels(FunctionalDigraph(t)), set()).add(t)
+            one_loop = sum(1 for i, v in enumerate(rep) if i == v) == 1
+            for seq in sequences:
+                need = [seq.count(label) for label in range(n)]
+                reached = {_conjugate(rep, s) for s in _labelings(rep, need)}
+                if one_loop and need[0] == 1:
+                    assert reached == by_labels.get(seq, set()), (rep, seq)
+                else:
+                    assert reached == set(), (rep, seq)
 
 
 class TestComplement:
