@@ -83,81 +83,76 @@ def _bool(flag: bool) -> str:
 
 
 
-def _cmd_labels(args) -> tuple[int, dict | list[str]]:
+def _cmd_labels(args) -> tuple[bool, dict | list[str]]:
     g = _parse_graph(args.graph)
     labels = digraph_mod.edge_labels(g)
     if args.format == "structured":
-        return 0, {"command": "labels", "graph": g.format(), "labels": list(labels)}
-    return 0, [",".join(map(str, labels))]
+        return True, {"graph": g.format(), "labels": list(labels)}
+    return True, [",".join(map(str, labels))]
 
 
-def _cmd_graceful(args) -> tuple[int, dict | list[str]]:
+def _cmd_graceful(args) -> tuple[bool, dict | list[str]]:
     g = _parse_graph(args.graph)
     _gate("graceful", g.n)
     labeled = digraph_mod.is_gracefully_labeled(g)
     graceful = digraph_mod.is_graceful(g)
     if args.format == "structured":
-        return 0, {
-            "command": "graceful",
+        return True, {
             "graph": g.format(),
             "gracefully_labeled": labeled,
             "graceful": graceful,
         }
-    return 0, [f"gracefully_labeled: {_bool(labeled)}", f"graceful: {_bool(graceful)}"]
+    return True, [
+        f"gracefully_labeled: {_bool(labeled)}",
+        f"graceful: {_bool(graceful)}",
+    ]
 
 
-def _cmd_grl(args) -> tuple[int, dict | list[str]]:
+def _cmd_grl(args) -> tuple[bool, dict | list[str]]:
     g = _parse_graph(args.graph)
     _gate("grl", g.n)
     members = digraph_mod.grl_set(g)
     if args.format == "structured":
-        return 0, {
-            "command": "grl",
+        return True, {
             "graph": g.format(),
             "members": [m.format() for m in members],
             "count": len(members),
         }
-    shown = members if args.limit is None else members[: args.limit]
-    lines = [m.format() for m in shown]
+    lines = [m.format() for m in members[: args.limit]]
     lines.append(f"count: {len(members)}")
-    return 0, lines
+    return True, lines
 
 
-def _cmd_gammas(args) -> tuple[int, dict | list[str]]:
+def _cmd_gammas(args) -> tuple[bool, dict | list[str]]:
     n = args.n
     _gate("gammas", n, minimum=2)
     gammas = expansion_mod.valid_gamma_tuples(n)
     count = expansion_mod.count_valid_gammas(n)
     agree = len(gammas) == count
-    code = 0 if agree else 1
     # the same text as Permutation.format, from one template per run
     template = ",".join(["%d"] * n)
     if args.format == "structured":
-        return code, {
-            "command": "gammas",
+        return agree, {
             "n": n,
             "gammas": [template % values for values in gammas],
             "enumerated": len(gammas),
             "formula": count,
             "status": "pass" if agree else "fail",
         }
-    shown = gammas if args.limit is None else gammas[: args.limit]
-    lines = [template % values for values in shown]
+    lines = [template % values for values in gammas[: args.limit]]
     lines.append(f"{len(gammas)} = {(n - 1) // 2}!*{n // 2}!")
     if not agree:
         lines.append(f"MISMATCH: enumerated {len(gammas)}, formula {count}")
-    return code, lines
+    return agree, lines
 
 
-def _cmd_sp(args) -> tuple[int, dict | list[str]]:
+def _cmd_sp(args) -> tuple[bool, dict | list[str]]:
     _gate("sp", args.n, minimum=2)
     sps = expansion_mod.enumerate_sp(args.n)
     matrix = integer_matrix(args.n, args.seed, 1, 100)
     check = expansion_mod.sp_sum_identity_check(args.n, matrix)
-    code = 0 if check.equal else 1
     if args.format == "structured":
-        return code, {
-            "command": "sp",
+        return check.equal, {
             "n": args.n,
             "seed": args.seed,
             "signed_permutations": [sp.format() for sp in sps],
@@ -166,31 +161,28 @@ def _cmd_sp(args) -> tuple[int, dict | list[str]]:
             "right": check.right,
             "status": "pass" if check.equal else "fail",
         }
-    shown = sps if args.limit is None else sps[: args.limit]
-    lines = [sp.format() for sp in shown]
+    lines = [sp.format() for sp in sps[: args.limit]]
     lines.append(f"count: {len(sps)}")
     lines.append(
         f"identity: left={check.left} right={check.right} equal={_bool(check.equal)}"
     )
-    return code, lines
+    return check.equal, lines
 
 
-def _cmd_tau(args) -> tuple[int, dict | list[str]]:
+def _cmd_tau(args) -> tuple[bool, dict | list[str]]:
     _gate("tau", args.n, minimum=2)
     lower, upper = expansion_mod.tau_bounds(args.n)
     tau = expansion_mod.tau_bruteforce(args.n)
     ok = lower <= tau <= upper
-    code = 0 if ok else 1
     if args.format == "structured":
-        return code, {
-            "command": "tau",
+        return ok, {
             "n": args.n,
             "lower": lower,
             "tau": tau,
             "upper": upper,
             "status": "pass" if ok else "fail",
         }
-    return code, [
+    return ok, [
         f"lower: {lower}",
         f"tau: {tau}",
         f"upper: {upper}",
@@ -198,7 +190,7 @@ def _cmd_tau(args) -> tuple[int, dict | list[str]]:
     ]
 
 
-def _cmd_genfun(args) -> tuple[int, dict | list[str]]:
+def _cmd_genfun(args) -> tuple[bool, dict | list[str]]:
     which = args.which
     _gate(f"genfun-{which}", args.n, minimum=1 if which == "f" else 2)
     if args.oracle:
@@ -210,18 +202,16 @@ def _cmd_genfun(args) -> tuple[int, dict | list[str]]:
         poly = genfun_mod.compute_P(args.n)
         reference = genfun_mod.compute_P_bruteforce(args.n) if args.oracle else None
     identical = not args.oracle or reference == poly
-    code = 0 if identical else 1
     if args.format == "structured":
         doc = {
-            "command": "genfun",
             "which": which,
             "n": args.n,
             "terms": poly.to_pairs(),
-            "status": "fail" if code else "pass",
+            "status": "pass" if identical else "fail",
         }
         if args.oracle:
             doc["oracle"] = "identical" if identical else "mismatch"
-        return code, doc
+        return identical, doc
     lines = [_poly_json(poly)]
     if args.oracle:
         if identical:
@@ -229,10 +219,10 @@ def _cmd_genfun(args) -> tuple[int, dict | list[str]]:
         else:
             lines.append("oracle: MISMATCH")
             lines.append(f"oracle_poly: {_poly_json(reference)}")
-    return code, lines
+    return identical, lines
 
 
-def _cmd_coeff(args) -> tuple[int, dict | list[str]]:
+def _cmd_coeff(args) -> tuple[bool, dict | list[str]]:
     try:
         labels = tuple(int(part) for part in args.sequence.split(","))
     except ValueError:
@@ -248,17 +238,16 @@ def _cmd_coeff(args) -> tuple[int, dict | list[str]]:
     poly = genfun_mod.compute_F(n) if which == "f" else genfun_mod.compute_P(n)
     coefficient = poly.coefficient(exponent)
     if args.format == "structured":
-        return 0, {
-            "command": "coeff",
+        return True, {
             "which": which,
             "sequence": list(labels),
             "exponent": str(exponent),
             "coefficient": str(coefficient),
         }
-    return 0, [f"exponent: {exponent}", f"coefficient: {coefficient}"]
+    return True, [f"exponent: {exponent}", f"coefficient: {coefficient}"]
 
 
-def _cmd_props(args) -> tuple[int, dict | list[str]]:
+def _cmd_props(args) -> tuple[bool, dict | list[str]]:
     _gate("props", args.n, minimum=2)
     reports = []
     if args.which in (None, "f"):
@@ -266,41 +255,37 @@ def _cmd_props(args) -> tuple[int, dict | list[str]]:
     if args.which in (None, "p"):
         reports.append(genfun_mod.check_P_properties(args.n))
     ok = all(report.ok for report in reports)
-    code = 0 if ok else 1
     if args.format == "structured":
-        return code, {
-            "command": "props",
+        return ok, {
             "n": args.n,
             "reports": [report.to_doc() for report in reports],
             "status": "pass" if ok else "fail",
         }
-    return code, [
+    return ok, [
         f"{report.which}: {line}" for report in reports for line in report.to_text()
     ]
 
 
-def _cmd_tdmtt(args) -> tuple[int, dict | list[str]]:
+def _cmd_tdmtt(args) -> tuple[bool, dict | list[str]]:
     _gate("tdmtt", args.n, minimum=1)
     matrix = integer_matrix(args.n, args.seed, 1, 50)
     check = genfun_mod.tdmtt_check(matrix)
-    code = 0 if check.equal else 1
     if args.format == "structured":
-        return code, {
-            "command": "tdmtt",
+        return check.equal, {
             "n": args.n,
             "seed": args.seed,
             "left": check.left,
             "right": check.right,
             "status": "pass" if check.equal else "fail",
         }
-    return code, [
+    return check.equal, [
         f"left: {check.left}",
         f"right: {check.right}",
         f"equal: {_bool(check.equal)}",
     ]
 
 
-def _cmd_whitty(args) -> tuple[int, dict | list[str]]:
+def _cmd_whitty(args) -> tuple[bool, dict | list[str]]:
     _gate("whitty", args.n, minimum=2)
     if args.symbolic:
         matrix = whitty_mod.symbolic_matrix(args.n)
@@ -315,11 +300,9 @@ def _cmd_whitty(args) -> tuple[int, dict | list[str]]:
         lhs_text = str(check.lhs)
         rhs_text = str(check.rhs)
     ok = check.equal_up_to_calibrated_sign
-    code = 0 if ok else 1
     parity = whitty_mod._column_reversal_parity(args.n)
     if args.format == "structured":
-        return code, {
-            "command": "whitty",
+        return ok, {
             "n": args.n,
             "symbolic": args.symbolic,
             "seed": None if args.symbolic else args.seed,
@@ -330,7 +313,7 @@ def _cmd_whitty(args) -> tuple[int, dict | list[str]]:
             "label_signature_reading_agrees": check.label_signature_reading_agrees,
             "status": "pass" if ok else "fail",
         }
-    return code, [
+    return ok, [
         f"lhs: {lhs_text}",
         f"rhs: {rhs_text}",
         f"column_reversal_parity: {parity:+d}",
@@ -340,7 +323,7 @@ def _cmd_whitty(args) -> tuple[int, dict | list[str]]:
     ]
 
 
-def _cmd_neighbors(args) -> tuple[int, dict | list[str]]:
+def _cmd_neighbors(args) -> tuple[bool, dict | list[str]]:
     g = _parse_graph(args.graph)
     _gate("neighbors", g.n)
     if args.oracle:
@@ -354,10 +337,8 @@ def _cmd_neighbors(args) -> tuple[int, dict | list[str]]:
         report = None
         generated = tuple(neighbors_mod.neighbors_via_expansion(fam))
         complete = True
-    code = 0 if complete else 1
     if args.format == "structured":
         doc = {
-            "command": "neighbors",
             "graph": g.format(),
             "generated": [h.format() for h in generated],
         }
@@ -366,9 +347,8 @@ def _cmd_neighbors(args) -> tuple[int, dict | list[str]]:
             doc["missing"] = [h.format() for h in report.missing]
             doc["extra"] = [h.format() for h in report.extra]
             doc["status"] = "pass" if complete else "fail"
-        return code, doc
-    shown = generated if args.limit is None else generated[: args.limit]
-    lines = [h.format() for h in shown]
+        return complete, doc
+    lines = [h.format() for h in generated[: args.limit]]
     if report is not None:
         lines.append("oracle:")
         lines.extend(h.format() for h in report.oracle)
@@ -377,17 +357,15 @@ def _cmd_neighbors(args) -> tuple[int, dict | list[str]]:
         lines.append("extra:")
         lines.extend(h.format() for h in report.extra)
         lines.append(f"complete: {_bool(complete)}")
-    return code, lines
+    return complete, lines
 
 
-def _cmd_conjecture(args) -> tuple[int, dict | list[str]]:
+def _cmd_conjecture(args) -> tuple[bool, dict | list[str]]:
     _gate("conjecture", args.n, minimum=1)
     report = conjecture_mod.check_conjecture_42(args.n)
     ok = report.holds and not report.violations
-    code = 0 if ok else 1
     if args.format == "structured":
         doc = {
-            "command": "conjecture",
             "n": args.n,
             "classes": [
                 {"representative": c.representative.format(), "size": c.size}
@@ -402,7 +380,7 @@ def _cmd_conjecture(args) -> tuple[int, dict | list[str]]:
         if report.violations:
             doc["violations"] = list(report.violations)
         doc["status"] = "pass" if ok else "fail"
-        return code, doc
+        return ok, doc
     missing_by_class: dict[str, list[str]] = {}
     for rep, seq in report.missing:
         missing_by_class.setdefault(rep.format(), []).append(
@@ -420,7 +398,7 @@ def _cmd_conjecture(args) -> tuple[int, dict | list[str]]:
     lines.append(f"class_size_total: {report.class_size_total}")
     lines.append(f"holds: {_bool(report.holds)}")
     lines.extend(f"invariant failed: {v}" for v in report.violations)
-    return code, lines
+    return ok, lines
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -500,17 +478,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _execute(argv: Sequence[str]) -> tuple[int, str]:
     """Exit status and the stdout text of one command, rendered only in the
-    format it asks for; usage errors are reported on stderr."""
+    format it asks for; usage errors are reported on stderr.
+
+    Each handler returns whether its checks passed (exit 0, else 1) and its
+    output: text lines, or the structured document without its "command"
+    field, which is put first here."""
     args = _build_parser().parse_args(argv)
     try:
         _check_limit(args)
         _check_seed(args)
-        code, out = args.handler(args)
+        ok, out = args.handler(args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2, ""
+    code = 0 if ok else 1
     if args.format == "structured":
-        return code, json.dumps(out, indent=2) + "\n"
+        return code, json.dumps({"command": args.command, **out}, indent=2) + "\n"
     return code, "\n".join(out) + "\n" if out else ""
 
 

@@ -23,7 +23,8 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from operator import getitem
+from functools import reduce
+from operator import add, getitem
 from typing import Sequence, TypeVar
 
 from gracelab.digraph import functional_trees
@@ -145,44 +146,37 @@ def graceful_coefficient_F(n: int) -> int:
 def det_via_minor_expansion(
     matrix: Sequence[Sequence[T]], zero: T, one: T
 ) -> T:
-    """Exact determinant by Laplace expansion over memoized column subsets.
+    """Exact determinant by Laplace expansion, row by row over column sets.
 
-    Rows are consumed top-down; the minor for each surviving column mask is
-    computed once, so the work is 2^n subproblems instead of the n! of the
-    plain permutation sum.  Each minor is one SparsePoly.sum_of_products:
+    Rows are consumed bottom-up: level k holds, for every k-column tuple,
+    the minor on the last k rows and those columns, so the work is 2^n
+    subproblems instead of the n! of the plain permutation sum.  Level k is
+    built from level k - 1 alone by expanding along row n - k, the i-th
+    column with sign (-1)^i, and then level k - 1 is dropped: at most two
+    levels are alive at once.  Each minor is one SparsePoly.sum_of_products:
     its signed entry * subminor products go straight into one fresh dict.
 
     The same expansion serves SparsePoly and int matrices: every nonzero
     entry is read as the polynomial 1 * entry (an int becomes a constant),
     and a constant determinant is handed back as one * constant, which is an
-    int for an int matrix.  Memoized minors are shared, never mutated.
+    int for an int matrix.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
     unit = SparsePoly.one()
-    rows = [[unit * entry if entry != zero else None for entry in row] for row in matrix]
-    memo: dict[int, SparsePoly] = {0: unit}
-
-    def minor(mask: int) -> SparsePoly:
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        row = rows[n - bin(mask).count("1")]
-        terms = []
-        sign = 1
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            entry = row[bit.bit_length() - 1]
-            if entry is not None:
-                terms.append((sign, entry, minor(mask ^ bit)))
-            sign = -sign
-            rest ^= bit
-        result = memo[mask] = SparsePoly.sum_of_products(terms)
-        return result
-
-    det = minor((1 << n) - 1)
+    minors: dict[tuple[int, ...], SparsePoly] = {(): unit}
+    for k in range(1, n + 1):
+        row = [unit * entry if entry != zero else None for entry in matrix[n - k]]
+        minors = {
+            cols: SparsePoly.sum_of_products(
+                (-1 if i % 2 else 1, row[c], minors[cols[:i] + cols[i + 1 :]])
+                for i, c in enumerate(cols)
+                if row[c] is not None
+            )
+            for cols in itertools.combinations(range(n), k)
+        }
+    det = minors[tuple(range(n))]
     constant = det.coefficient(0)
     return one * constant if det == unit * constant else det  # type: ignore[return-value]
 
@@ -192,21 +186,14 @@ def det_poly(matrix: Sequence[Sequence[SparsePoly]]) -> SparsePoly:
     return det_via_minor_expansion(matrix, SparsePoly.zero(), SparsePoly.one())
 
 
-def _row_sum_laplacian(matrix: Sequence[Sequence[T]], zero: T) -> list[list[T]]:
+def _row_sum_laplacian(matrix: Sequence[Sequence[T]]) -> list[list[T]]:
     # diag(M * 1) - M over any ring: diagonal gets the full row sum.
-    n = len(matrix)
     out: list[list[T]] = []
-    for i in range(n):
-        row_sum = zero
-        for entry in matrix[i]:
-            row_sum = row_sum + entry
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(row_sum - matrix[i][j])
-            else:
-                row.append(zero - matrix[i][j])
-        out.append(row)
+    for i, row in enumerate(matrix):
+        row_sum = reduce(add, row)
+        out.append(
+            [row_sum - entry if i == j else -entry for j, entry in enumerate(row)]
+        )
     return out
 
 
@@ -228,13 +215,13 @@ def compute_P(n: int) -> SparsePoly:
     Every X[i,i] is x, so the sum is n * x * det L^(r) for any one root r.
     In terms of trees: an edge label |i - f(i)| does not depend on the
     edge's direction, so re-rooting a tree keeps its label sequence.  The
-    end roots 0 and n-1 give the cheapest cofactors for the top-down
+    end roots 0 and n-1 give the cheapest cofactors for the minor
     expansion (a middle root costs about 40% more at n = 10); r = n-1 is used.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     matrix = build_P_matrix(n)
-    laplacian = _row_sum_laplacian(matrix, SparsePoly.zero())
+    laplacian = _row_sum_laplacian(matrix)
     r = n - 1
     return matrix[r][r] * det_poly(_principal_minor(laplacian, r)) * n
 
@@ -260,7 +247,7 @@ def tdmtt_check(matrix: Sequence[Sequence[int]]) -> IdentityCheck:
             by the pruned search digraph.functional_trees.
     """
     n = len(matrix)
-    laplacian = _row_sum_laplacian(matrix, 0)
+    laplacian = _row_sum_laplacian(matrix)
     left = 0
     for i in range(n):
         left += matrix[i][i] * det_via_minor_expansion(

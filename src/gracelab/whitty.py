@@ -127,32 +127,33 @@ def _rooted_graceful_trees(n: int):
             yield g
 
 
-def _signed_tree_sum(matrix: Sequence[Sequence[T]], use_descents: bool) -> T:
+def _signed_tree_sums(matrix: Sequence[Sequence[T]]) -> tuple[T, T]:
+    # One walk, both readings: (sign_factor sum, tree_sign sum).
     n = len(matrix)
     zero, one = _ring_constants(matrix)
     if n == 1:
-        return matrix[0][0]
-    total = zero
+        return matrix[0][0], matrix[0][0]
+    label_total = descent_total = zero
     for g in _rooted_graceful_trees(n):
-        sign = tree_sign(g) if use_descents else sign_factor(g)
         term = one
         for i, v in enumerate(g.values):
             term = term * matrix[min(i, v)][max(i, v)]
-        total = total + term * sign
-    return total
+        label_total = label_total + term * sign_factor(g)
+        descent_total = descent_total + term * tree_sign(g)
+    return label_total, descent_total
 
 
 def whitty_rhs(matrix: Sequence[Sequence[T]]) -> T:
     """Sum over gracefully labeled functional trees rooted at 0 of
     sign_factor(f) * prod A[min(i, f(i)), max(i, f(i))] — the label-signature
     reading of the signed sum."""
-    return _signed_tree_sum(matrix, use_descents=False)
+    return _signed_tree_sums(matrix)[0]
 
 
 def whitty_rhs_determinant_sign(matrix: Sequence[Sequence[T]]) -> T:
     """The same sum with tree_sign(f); this is the signed enumeration that
     the determinant side reproduces exactly."""
-    return _signed_tree_sum(matrix, use_descents=True)
+    return _signed_tree_sums(matrix)[1]
 
 
 def symbolic_matrix(n: int) -> tuple[tuple[SparsePoly, ...], ...]:
@@ -247,10 +248,9 @@ def whitty_check(matrix: Sequence[Sequence[T]]) -> WhittyCheck:
     cal = calibration()
     n = len(matrix)
     lhs = whitty_lhs(matrix)
-    rhs = whitty_rhs_determinant_sign(matrix)
+    rhs_printed, rhs = _signed_tree_sums(matrix)
     lhs_label_order = lhs * _column_reversal_parity(n)
     equal = lhs_label_order == rhs * cal.epsilon
-    rhs_printed = whitty_rhs(matrix)
     printed_agrees = lhs in (rhs_printed, -rhs_printed)
     return WhittyCheck(
         lhs=lhs,

@@ -10,6 +10,10 @@ The rows for n = 8 and 10 (grl on the 10-path, neighbors on a 10-vertex
 table with a cycle, graceful on a 10-vertex tree, conjecture --n 8) were
 added later, generated from the command line as it stood before the
 graceful search and the witness search became one labeling search.
+The rows for genfun --which p --n 9, tdmtt --n 6, and whitty --n 6
+(symbolic and seeded) were added after that, generated from the command
+line as it stood before the determinant was expanded row by row over
+column sets, so they pin the determinant at its working sizes.
 """
 
 import hashlib
@@ -79,6 +83,14 @@ GOLDEN = [
     (('graceful', '--graph', '10:0,0,0,1,1,2,3,3,5,8', '--format', 'structured'), 0, "2ff188b52d0dbdbec550087b8d709895a1f52a98d3c0f0e94f242c8bd7c6439d"),
     (('conjecture', '--n', '8'), 0, "1ceb24bfdaa9b866386d0a857ef69c9488dc95cb0cbf440fa8fa4c6e8507c529"),
     (('conjecture', '--n', '8', '--format', 'structured'), 0, "83a96f51fcbcac4bdad7f30a1dd6fe4f96738dbef476b308d24a883342b8d8f7"),
+    (('genfun', '--which', 'p', '--n', '9'), 0, "ab4af3348928dc3dab05f8d697be30b9f64fd56610b6289c10ce9474df0fd475"),
+    (('genfun', '--which', 'p', '--n', '9', '--format', 'structured'), 0, "8a6fea6bb633852e98b3a9ca16c253f4bbd550a6def165c650cd991859bcc1a0"),
+    (('tdmtt', '--n', '6', '--seed', '2'), 0, "b6486ae0ab9f1bfffe0fff0030d43128735c63fca2a17ba9a1d429199f32039f"),
+    (('tdmtt', '--n', '6', '--seed', '2', '--format', 'structured'), 0, "2a3004ddca4c47cf5ced7c7dd9c957d86ecb8adcfdb1eed7f5c52920d5973fe8"),
+    (('whitty', '--n', '6', '--symbolic'), 0, "173a646b6bd90876981f29a3ae976ed2b50bdbd712671d878fa1d2c9c23ef002"),
+    (('whitty', '--n', '6', '--symbolic', '--format', 'structured'), 0, "6af607c6613989edba4b453986a3e92f57cfb2915f706ac6722258ff9912eaf2"),
+    (('whitty', '--n', '6', '--seed', '9'), 0, "b7b4628c461c539d0677e1fbe017732ebec9f204930b04317c5a4adfd7aea4c5"),
+    (('whitty', '--n', '6', '--seed', '9', '--format', 'structured'), 0, "6191e6b4ab77ff794a9511df010611ac75f3d366c5f84af654946e37aeb7958a"),
     (('labels', '--graph', '3:0,9,1'), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 

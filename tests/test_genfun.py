@@ -42,6 +42,22 @@ def leibniz_det(matrix, zero, one):
     return total
 
 
+def _nonzero(gen):
+    return (1 + gen.below(9)) * (1 - 2 * gen.below(2))
+
+
+def sparse_matrices(pattern, seed):
+    """An int matrix and a monomial matrix, zero exactly where pattern is 0."""
+    gen = Lcg(seed)
+    ints = [[_nonzero(gen) if keep else 0 for keep in row] for row in pattern]
+    zero = SparsePoly.zero()
+    polys = [
+        [SparsePoly.monomial(gen.below(40), _nonzero(gen)) if keep else zero for keep in row]
+        for row in pattern
+    ]
+    return ints, polys
+
+
 def p_laplacian(n):
     """L = diag(X * 1) - X for the P matrix X, built here from its definition."""
     x = build_P_matrix(n)
@@ -238,7 +254,7 @@ class TestDeterminant:
     @pytest.mark.parametrize("seed", (3, 4))
     def test_matches_leibniz_on_multi_term_polynomials(self, seed):
         # entries with several signed terms exercise cancellation inside the
-        # memoized expansion
+        # minor expansion
         gen = Lcg(seed)
         m = [
             [
@@ -251,6 +267,43 @@ class TestDeterminant:
         ]
         zero, one = SparsePoly.zero(), SparsePoly.one()
         assert det_poly(m) == leibniz_det(m, zero, one)
+
+    # The expansion builds every k-column minor on the last k rows, also
+    # those a zero entry keeps the sum from reaching; these patterns put
+    # zeros in every position, and in whole rows, columns and triangles.
+    @pytest.mark.parametrize("seed", (1, 2, 3, 4))
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_sparse_patterns_match_leibniz(self, n, seed):
+        gen = Lcg(100 + seed)
+        pattern = [[gen.below(2) for _ in range(n)] for _ in range(n)]
+        ints, polys = sparse_matrices(pattern, seed)
+        det = det_via_minor_expansion(ints, 0, 1)
+        assert type(det) is int
+        assert det == leibniz_det(ints, 0, 1)
+        zero, one = SparsePoly.zero(), SparsePoly.one()
+        assert det_poly(polys) == leibniz_det(polys, zero, one)
+
+    @pytest.mark.parametrize("shape", ("zero_row", "zero_column", "upper", "lower"))
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_structured_sparsity_matches_leibniz(self, n, shape):
+        keep = {
+            "zero_row": lambda i, j: i != n // 2,
+            "zero_column": lambda i, j: j != n // 2,
+            "upper": lambda i, j: i <= j,
+            "lower": lambda i, j: i >= j,
+        }[shape]
+        pattern = [[keep(i, j) for j in range(n)] for i in range(n)]
+        ints, polys = sparse_matrices(pattern, n)
+        zero, one = SparsePoly.zero(), SparsePoly.one()
+        det = det_via_minor_expansion(ints, 0, 1)
+        det_p = det_poly(polys)
+        assert det == leibniz_det(ints, 0, 1)
+        assert det_p == leibniz_det(polys, zero, one)
+        if shape.startswith("zero"):
+            assert det == 0 and det_p.is_zero()
+        else:
+            assert det == math.prod(ints[i][i] for i in range(n))
+            assert det_p == math.prod((polys[i][i] for i in range(n)), start=one)
 
     @pytest.mark.parametrize("seed", (1, 2))
     def test_integer_matrix_gives_an_int(self, seed):
