@@ -34,10 +34,10 @@ MAX_N = {
     "sp": 7,
     "tau": 9,
     "genfun-f": 9,
-    "genfun-p": 11,
+    "genfun-p": 12,
     "genfun-oracle": 8,
     "coeff-f": 9,
-    "coeff-p": 11,
+    "coeff-p": 12,
     "props": 8,
     "tdmtt": 8,
     "whitty": 7,
@@ -81,6 +81,15 @@ def _poly_json(poly: SparsePoly) -> str:
 def _bool(flag: bool) -> str:
     return "true" if flag else "false"
 
+
+def _count_violations(which: str, n: int, poly: SparsePoly) -> list[str]:
+    # F(1) counts the n^n functions on Z_n, P(1) the n^(n-1) functional
+    # trees (Cayley).
+    power = n if which == "f" else n - 1
+    value = poly.eval_at_one()
+    if value == n**power:
+        return []
+    return [f"{which.upper()}(1) = {value} != {n}^{power} = {n**power}"]
 
 
 def _cmd_labels(args) -> tuple[bool, dict | list[str]]:
@@ -202,16 +211,16 @@ def _cmd_genfun(args) -> tuple[bool, dict | list[str]]:
         poly = genfun_mod.compute_P(args.n)
         reference = genfun_mod.compute_P_bruteforce(args.n) if args.oracle else None
     identical = not args.oracle or reference == poly
+    violations = _count_violations(which, args.n, poly)
+    ok = identical and not violations
     if args.format == "structured":
-        doc = {
-            "which": which,
-            "n": args.n,
-            "terms": poly.to_pairs(),
-            "status": "pass" if identical else "fail",
-        }
+        doc = {"which": which, "n": args.n, "terms": poly.to_pairs()}
+        if violations:
+            doc["violations"] = violations
+        doc["status"] = "pass" if ok else "fail"
         if args.oracle:
             doc["oracle"] = "identical" if identical else "mismatch"
-        return identical, doc
+        return ok, doc
     lines = [_poly_json(poly)]
     if args.oracle:
         if identical:
@@ -219,7 +228,8 @@ def _cmd_genfun(args) -> tuple[bool, dict | list[str]]:
         else:
             lines.append("oracle: MISMATCH")
             lines.append(f"oracle_poly: {_poly_json(reference)}")
-    return identical, lines
+    lines.extend(f"invariant failed: {v}" for v in violations)
+    return ok, lines
 
 
 def _cmd_coeff(args) -> tuple[bool, dict | list[str]]:
@@ -237,14 +247,20 @@ def _cmd_coeff(args) -> tuple[bool, dict | list[str]]:
         raise UsageError(str(err)) from None
     poly = genfun_mod.compute_F(n) if which == "f" else genfun_mod.compute_P(n)
     coefficient = poly.coefficient(exponent)
+    violations = _count_violations(which, n, poly)
     if args.format == "structured":
-        return True, {
+        doc = {
             "which": which,
             "sequence": list(labels),
             "exponent": str(exponent),
             "coefficient": str(coefficient),
         }
-    return True, [f"exponent: {exponent}", f"coefficient: {coefficient}"]
+        if violations:
+            doc["violations"] = violations
+        return not violations, doc
+    lines = [f"exponent: {exponent}", f"coefficient: {coefficient}"]
+    lines.extend(f"invariant failed: {v}" for v in violations)
+    return not violations, lines
 
 
 def _cmd_props(args) -> tuple[bool, dict | list[str]]:

@@ -9,12 +9,14 @@ functions for F, the functional trees for P), plus structural property
 checkers that compare the claimed extremal degrees against the enumerated
 truth.
 
-P needs one determinant, not one per root.  The matrix X with entries
+P needs one cofactor, not one per root.  The matrix X with entries
 x^(n^|i-j|) is symmetric, so its Laplacian diag(X * 1) - X has zero row and
 column sums, and all its principal cofactors are equal: re-rooting a tree
-reverses the edges on one path, which keeps every label |i - f(i)|.  The
-integer identity check tdmtt_check keeps the sum over all roots, because
-its seeded matrix is not symmetric.
+reverses the edges on one path, which keeps every label |i - f(i)|.  X is
+also Toeplitz, so the Laplacian commutes with the reversal i -> n-1-i, and
+that cofactor splits into two determinants of half the size (compute_P).
+The integer identity check tdmtt_check keeps the sum over all roots,
+because its seeded matrix is not symmetric.
 """
 
 from __future__ import annotations
@@ -206,24 +208,40 @@ def _principal_minor(matrix: Sequence[Sequence[T]], drop: int) -> list[list[T]]:
 
 
 def compute_P(n: int) -> SparsePoly:
-    """Functional-tree generating function from one matrix-tree cofactor.
+    """Functional-tree generating function from two half-size determinants.
 
     The directed matrix tree theorem gives P as the sum over roots i of
     X[i,i] * det L^(i), where L = diag(X * 1) - X and L^(i) drops row and
     column i.  X is symmetric, so L has zero column sums as well as zero row
-    sums, and then all n principal cofactors det L^(i) are equal (Kirchhoff).
-    Every X[i,i] is x, so the sum is n * x * det L^(r) for any one root r.
-    In terms of trees: an edge label |i - f(i)| does not depend on the
-    edge's direction, so re-rooting a tree keeps its label sequence.  The
-    end roots 0 and n-1 give the cheapest cofactors for the minor
-    expansion (a middle root costs about 40% more at n = 10); r = n-1 is used.
+    sums, and then all n principal cofactors det L^(i) equal one tau
+    (Kirchhoff).  Every X[i,i] is x, so P = n * x * tau.  In terms of trees:
+    an edge label |i - f(i)| does not depend on the edge's direction, so
+    re-rooting a tree keeps its label sequence.
+
+    X is also symmetric Toeplitz, so L commutes with the reversal
+    i -> n-1-i.  With h = n // 2 and i, j < h, L splits into the blocks
+    S[i][j] = L[i][j] + L[i][n-1-j] and T[i][j] = L[i][j] - L[i][n-1-j]:
+      odd n:  the reversal fixes the middle vertex m = h, and
+              tau = det L^(m) = det S * det T;
+      even n: det(L + J) = n^2 * tau (J all ones) splits into
+              det(S + 2J) * det T, and S is symmetric with zero row sums, so
+              det(S + 2J) = 2 * h^2 * det S^(h-1); hence tau =
+              det S^(h-1) * det T / 2, and P = h * x * det S^(h-1) * det T
+              needs no division.
+    Both blocks have at most h rows; nearly all the work is the one product.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     matrix = build_P_matrix(n)
     laplacian = _row_sum_laplacian(matrix)
-    r = n - 1
-    return matrix[r][r] * det_poly(_principal_minor(laplacian, r)) * n
+    h = n // 2
+    sym = [[row[j] + row[n - 1 - j] for j in range(h)] for row in laplacian[:h]]
+    anti = [[row[j] - row[n - 1 - j] for j in range(h)] for row in laplacian[:h]]
+    if n % 2:
+        scale, det_sym = n, det_poly(sym)
+    else:
+        scale, det_sym = h, det_poly(_principal_minor(sym, h - 1))
+    return SparsePoly.sum_of_products([(scale, matrix[0][0] * det_sym, det_poly(anti))])
 
 
 def compute_P_bruteforce(n: int) -> SparsePoly:

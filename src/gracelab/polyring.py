@@ -33,8 +33,16 @@ class SparsePoly:
         self._terms = data
 
     @classmethod
+    def _wrap(cls, terms: dict[int, int]) -> "SparsePoly":
+        # Results of arithmetic: the dict is fresh and holds no zero
+        # coefficient, so __init__'s validation and copy are skipped.
+        poly = cls.__new__(cls)
+        poly._terms = terms
+        return poly
+
+    @classmethod
     def zero(cls) -> "SparsePoly":
-        return cls()
+        return cls._wrap({})
 
     @classmethod
     def one(cls) -> "SparsePoly":
@@ -95,14 +103,10 @@ class SparsePoly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        result = SparsePoly.zero()
-        result._terms = out
-        return result
+        return SparsePoly._wrap(out)
 
     def __neg__(self) -> "SparsePoly":
-        result = SparsePoly.zero()
-        result._terms = {e: -c for e, c in self._terms.items()}
-        return result
+        return SparsePoly._wrap({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
         if not isinstance(other, SparsePoly):
@@ -123,9 +127,7 @@ class SparsePoly:
                     out[e] = s
                 else:
                     del out[e]
-        result = SparsePoly.zero()
-        result._terms = out
-        return result
+        return SparsePoly._wrap(out)
 
     def __rmul__(self, factor: int) -> "SparsePoly":
         if not isinstance(factor, int):
@@ -136,9 +138,7 @@ class SparsePoly:
         """The polynomial factor * self; also spelled self * factor."""
         if factor == 0:
             return SparsePoly.zero()
-        result = SparsePoly.zero()
-        result._terms = {e: factor * c for e, c in self._terms.items()}
-        return result
+        return SparsePoly._wrap({e: factor * c for e, c in self._terms.items()})
 
     @classmethod
     def sum_of_products(
@@ -156,9 +156,7 @@ class SparsePoly:
                 for e2, c2 in b_terms:
                     e = e1 + e2
                     out[e] = get(e, 0) + c1 * c2
-        result = cls()
-        result._terms = {e: c for e, c in out.items() if c}
-        return result
+        return cls._wrap({e: c for e, c in out.items() if c})
 
     def to_pairs(self) -> list[list[str]]:
         """Golden-file form: [exponent, coefficient] decimal-string pairs,

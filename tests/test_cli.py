@@ -106,9 +106,9 @@ class TestGenfun:
         assert out == '[["2","1"],["4","2"],["6","1"]]\n'
 
     def test_p_past_the_ceiling_is_usage_error(self, capsys):
-        code, out, err = invoke(capsys, "genfun", "--which", "p", "--n", "12")
+        code, out, err = invoke(capsys, "genfun", "--which", "p", "--n", "13")
         assert code == 2 and out == ""
-        assert "genfun-p: n=12 outside feasible range [2, 11]" in err
+        assert "genfun-p: n=13 outside feasible range [2, 12]" in err
 
     def test_oracle_gate(self, capsys):
         code, _, err = invoke(
@@ -134,10 +134,42 @@ class TestCoeff:
         assert out.splitlines()[1] == "coefficient: 11"
 
     def test_p_past_the_ceiling_is_usage_error(self, capsys):
-        sequence = ",".join(["0"] + ["1"] * 11)
+        sequence = ",".join(["0"] + ["1"] * 12)
         code, out, err = invoke(capsys, "coeff", "--which", "p", "--sequence", sequence)
         assert code == 2 and out == ""
-        assert "coeff-p: n=12 outside feasible range [2, 11]" in err
+        assert "coeff-p: n=13 outside feasible range [2, 12]" in err
+
+
+class TestCountInvariant:
+    """F(1) = n^n and P(1) = n^(n-1) are asserted on every polynomial the
+    CLI builds; a perturbed polynomial exits 1 and names the failure."""
+
+    CASES = [
+        (("genfun", "--which", "p", "--n", "4"), "compute_P", "P(1) = 65 != 4^3 = 64"),
+        (("genfun", "--which", "f", "--n", "3"), "compute_F", "F(1) = 28 != 3^3 = 27"),
+        (("coeff", "--which", "p", "--sequence", "0,1,1,2"), "compute_P", "P(1) = 65 != 4^3 = 64"),
+        (("coeff", "--which", "f", "--sequence", "0,1,2"), "compute_F", "F(1) = 28 != 3^3 = 27"),
+    ]
+
+    @pytest.mark.parametrize(("argv", "name", "violation"), CASES)
+    def test_perturbed_polynomial_exits_one(self, capsys, monkeypatch, argv, name, violation):
+        from gracelab import genfun
+        from gracelab.polyring import SparsePoly
+
+        _, passing, _ = invoke(capsys, *argv)
+        original = getattr(genfun, name)
+        monkeypatch.setattr(genfun, name, lambda n: original(n) + SparsePoly.one())
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 1
+        assert out.splitlines()[-1] == f"invariant failed: {violation}"
+        # the constant term is not a label sequence, so no printed
+        # coefficient moves; only the failure line is added
+        if argv[0] == "coeff":
+            assert out.splitlines()[:-1] == passing.splitlines()
+        code, out, _ = invoke(capsys, *argv, "--format", "structured")
+        doc = json.loads(out)
+        assert code == 1 and doc["violations"] == [violation]
+        assert doc.get("status", "fail") == "fail"
 
 
 class TestStructuredOutput:

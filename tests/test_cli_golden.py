@@ -14,6 +14,10 @@ The rows for genfun --which p --n 9, tdmtt --n 6, and whitty --n 6
 (symbolic and seeded) were added after that, generated from the command
 line as it stood before the determinant was expanded row by row over
 column sets, so they pin the determinant at its working sizes.
+The rows for genfun --which p --n 10 and coeff --which p on the graceful
+sequence 0,1,...,10 were generated from the command line as it stood
+before P was split along the reversal symmetry into two half-size
+determinants.
 """
 
 import hashlib
@@ -91,6 +95,10 @@ GOLDEN = [
     (('whitty', '--n', '6', '--symbolic', '--format', 'structured'), 0, "6af607c6613989edba4b453986a3e92f57cfb2915f706ac6722258ff9912eaf2"),
     (('whitty', '--n', '6', '--seed', '9'), 0, "b7b4628c461c539d0677e1fbe017732ebec9f204930b04317c5a4adfd7aea4c5"),
     (('whitty', '--n', '6', '--seed', '9', '--format', 'structured'), 0, "6191e6b4ab77ff794a9511df010611ac75f3d366c5f84af654946e37aeb7958a"),
+    (('genfun', '--which', 'p', '--n', '10'), 0, "5fc7e5c88a41852118586fca6692fd9e46983fa4ea163724a295e8c0f0e3e1a2"),
+    (('genfun', '--which', 'p', '--n', '10', '--format', 'structured'), 0, "bb317707ee3e4bd379f012e8e370d63eff45d36c55e3bc9273cff59b677df2d2"),
+    (('coeff', '--which', 'p', '--sequence', '0,1,2,3,4,5,6,7,8,9,10'), 0, "ac52914b5153a313521cfe203880e7fd6368d5d4e5deb034a4ab9455423bc516"),
+    (('coeff', '--which', 'p', '--sequence', '0,1,2,3,4,5,6,7,8,9,10', '--format', 'structured'), 0, "8f5a661c1b04dba9759e4fa08983500b609fa7ef2336031f564b26d05e167c5b"),
     (('labels', '--graph', '3:0,9,1'), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 

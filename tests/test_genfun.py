@@ -83,6 +83,16 @@ def p_laplacian_cofactor(n, root):
     return det_poly(minor)
 
 
+def reversal_blocks(n):
+    """S = A + B and T = A - B for the P Laplacian in the block form
+    [[A, B], [B, A]] that the reversal i -> n-1-i gives it, h = n // 2."""
+    laplacian = p_laplacian(n)
+    h = n // 2
+    sym = [[laplacian[i][j] + laplacian[i][n - 1 - j] for j in range(h)] for i in range(h)]
+    anti = [[laplacian[i][j] - laplacian[i][n - 1 - j] for j in range(h)] for i in range(h)]
+    return sym, anti
+
+
 def all_roots_P(n):
     """The directed matrix-tree sum over every root: sum_i X[i,i] * det L^(i)."""
     x = build_P_matrix(n)
@@ -347,6 +357,29 @@ class TestComputeP:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_equals_the_all_roots_sum(self, n):
         assert compute_P(n) == all_roots_P(n)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_equals_one_plain_cofactor(self, n):
+        x = SparsePoly.monomial(1)
+        assert compute_P(n) == n * x * p_laplacian_cofactor(n, n - 1)
+
+    @pytest.mark.parametrize("n", range(2, 11, 2))
+    def test_even_symmetric_block_is_a_laplacian(self, n):
+        # what det(S + 2J) = 2 h^2 det S^(k) rests on, for every k
+        sym, _ = reversal_blocks(n)
+        h = n // 2
+        assert all(sym[i][j] == sym[j][i] for i in range(h) for j in range(h))
+        assert all(sum(row, SparsePoly.zero()).is_zero() for row in sym)
+        cofactors = [
+            det_poly([[e for j, e in enumerate(row) if j != k] for i, row in enumerate(sym) if i != k])
+            for k in range(h)
+        ]
+        assert all(c == cofactors[0] for c in cofactors)
+
+    @pytest.mark.parametrize("n", range(3, 10, 2))
+    def test_odd_middle_cofactor_factors(self, n):
+        sym, anti = reversal_blocks(n)
+        assert p_laplacian_cofactor(n, n // 2) == det_poly(sym) * det_poly(anti)
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_matches_bruteforce(self, n):
