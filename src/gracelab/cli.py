@@ -309,12 +309,9 @@ def _cmd_whitty(args) -> tuple[bool, dict | list[str]]:
         # only the upper triangle of A is ever read by either side
         matrix = integer_matrix(args.n, args.seed, 1, 100)
     check = whitty_mod.whitty_check(matrix)
-    if args.symbolic:
-        lhs_text = _poly_json(check.lhs)
-        rhs_text = _poly_json(check.rhs)
-    else:
-        lhs_text = str(check.lhs)
-        rhs_text = str(check.rhs)
+    render = _poly_json if args.symbolic else str
+    lhs_text = render(check.lhs)
+    rhs_text = render(check.rhs)
     ok = check.equal_up_to_calibrated_sign
     parity = whitty_mod._column_reversal_parity(args.n)
     if args.format == "structured":
@@ -345,33 +342,30 @@ def _cmd_neighbors(args) -> tuple[bool, dict | list[str]]:
     if args.oracle:
         _gate("neighbors-oracle", g.n)
     fam = neighbors_mod.expansion_family(g)
+    sections: dict[str, list[str]] = {}
     if args.oracle:
         report = neighbors_mod.completeness_check(fam)
         generated = report.generated
         complete = not report.missing and not report.extra
+        for key in ("oracle", "missing", "extra"):
+            sections[key] = [h.format() for h in getattr(report, key)]
     else:
-        report = None
         generated = tuple(neighbors_mod.neighbors_via_expansion(fam))
         complete = True
     if args.format == "structured":
         doc = {
             "graph": g.format(),
             "generated": [h.format() for h in generated],
+            **sections,
         }
-        if report is not None:
-            doc["oracle"] = [h.format() for h in report.oracle]
-            doc["missing"] = [h.format() for h in report.missing]
-            doc["extra"] = [h.format() for h in report.extra]
+        if args.oracle:
             doc["status"] = "pass" if complete else "fail"
         return complete, doc
     lines = [h.format() for h in generated[: args.limit]]
-    if report is not None:
-        lines.append("oracle:")
-        lines.extend(h.format() for h in report.oracle)
-        lines.append("missing:")
-        lines.extend(h.format() for h in report.missing)
-        lines.append("extra:")
-        lines.extend(h.format() for h in report.extra)
+    for key, members in sections.items():
+        lines.append(f"{key}:")
+        lines.extend(members)
+    if args.oracle:
         lines.append(f"complete: {_bool(complete)}")
     return complete, lines
 

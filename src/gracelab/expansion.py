@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import getitem, itemgetter
 from typing import Sequence
 
 from gracelab.digraph import (
@@ -255,18 +255,14 @@ def sp_sum_identity_check(n: int, matrix: Sequence[Sequence[int]]) -> IdentityCh
     the right side enumerated by the label-bitmask search
     digraph.graceful_tables(n, fix0=True).
     """
-    left = 0
-    for sp in enumerate_sp(n):
-        term = 1
-        for i in range(n):
-            term *= matrix[i][i + sp.g(i)]
-        left += term
-    right = 0
-    for values in graceful_tables(n, fix0=True):
-        term = 1
-        for i, v in enumerate(values):
-            term *= matrix[i][v]
-        right += term
+    left = sum(
+        math.prod(map(getitem, matrix, (i + sp.g(i) for i in range(n))))
+        for sp in enumerate_sp(n)
+    )
+    right = sum(
+        math.prod(map(getitem, matrix, values))
+        for values in graceful_tables(n, fix0=True)
+    )
     return IdentityCheck(left, right)
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import reduce
 from operator import add, getitem
 from typing import Sequence, TypeVar
@@ -87,13 +87,9 @@ def compute_F(n: int) -> SparsePoly:
     Equals the determinant of diag(X * 1) and therefore the sum of one
     monomial per function on Z_n, grouped by label sequence.
     """
-    matrix = build_F_matrix(n)
     result = SparsePoly.one()
-    for row in matrix:
-        row_sum = SparsePoly.zero()
-        for entry in row:
-            row_sum = row_sum + entry
-        result = result * row_sum
+    for row in build_F_matrix(n):
+        result = result * reduce(add, row)
     return result
 
 
@@ -305,20 +301,7 @@ class PropertyReport:
         ]
 
     def to_doc(self) -> dict:
-        return {
-            "which": self.which,
-            "n": self.n,
-            "checks": [
-                {
-                    "claim": c.claim,
-                    "predicted": c.predicted,
-                    "computed": c.computed,
-                    "status": c.status,
-                }
-                for c in self.checks
-            ],
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def _check(claim: str, predicted: int, computed: int, *, hard: bool) -> ClaimCheck:
@@ -346,33 +329,28 @@ def p_extremal_sequence(n: int) -> tuple[int, ...]:
 
 def f_statement_degree(n: int) -> int:
     """Max-degree formula as printed in the F degree claim (known to start
-    its sum one index late; reported, never asserted)."""
-    if n % 2 == 0:
-        half = n // 2
-        return 2 * sum((n + 1) ** (half + i) for i in range(1, half))
-    half = (n - 1) // 2
-    return (n + 1) ** half + 2 * sum((n + 1) ** (half + i) for i in range(1, half))
+    its sum one index late; reported, never asserted).  With h = n // 2 the
+    even and odd cases differ only by the middle term (n+1)^h for odd n."""
+    h = n // 2
+    return n % 2 * (n + 1) ** h + 2 * sum((n + 1) ** (h + i) for i in range(1, h))
+
+
+def _p_printed_degree(n: int, top: int) -> int:
+    # Both printed P formulas: the odd-n middle term n^h, the given top
+    # term, and the doubled tail, with h = n // 2.
+    h = n // 2
+    return n % 2 * n**h + top + 2 * sum(n ** (h + i) for i in range(1, h - 1))
 
 
 def p_statement_degree(n: int) -> int:
     """Max-degree formula as printed in the P degree claim."""
-    if n % 2 == 0:
-        half = n // 2
-        return n ** (n - 1) + 2 * sum(n ** (half + i) for i in range(1, half - 1))
-    half = (n - 1) // 2
-    return (
-        n**half + n ** (n - 1) + 2 * sum(n ** (half + i) for i in range(1, half - 1))
-    )
+    return _p_printed_degree(n, n ** (n - 1))
 
 
 def p_proof_display_degree(n: int) -> int:
     """The other printed P max-degree candidate, with n-1 where the statement
     has n^(n-1); reported alongside it."""
-    if n % 2 == 0:
-        half = n // 2
-        return (n - 1) + 2 * sum(n ** (half + i) for i in range(1, half - 1))
-    half = (n - 1) // 2
-    return n**half + (n - 1) + 2 * sum(n ** (half + i) for i in range(1, half - 1))
+    return _p_printed_degree(n, n - 1)
 
 
 def check_F_properties(n: int) -> PropertyReport:

@@ -138,7 +138,6 @@ def neighbors_bruteforce(g: FunctionalDigraph) -> list[FunctionalDigraph]:
 
 @dataclass(frozen=True)
 class NeighborReport:
-    inputs: ExpansionFamily
     generated: tuple[FunctionalDigraph, ...]
     oracle: tuple[FunctionalDigraph, ...]
     missing: tuple[FunctionalDigraph, ...]
@@ -158,7 +157,6 @@ def completeness_check(fam: ExpansionFamily) -> NeighborReport:
     missing = [FunctionalDigraph(t) for t in sorted(oracle_set - generated_set)]
     extra = [FunctionalDigraph(t) for t in sorted(generated_set - oracle_set)]
     return NeighborReport(
-        inputs=fam,
         generated=tuple(generated),
         oracle=tuple(oracle),
         missing=tuple(missing),

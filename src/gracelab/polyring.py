@@ -106,7 +106,7 @@ class SparsePoly:
         return SparsePoly._wrap(out)
 
     def __neg__(self) -> "SparsePoly":
-        return SparsePoly._wrap({e: -c for e, c in self._terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
         if not isinstance(other, SparsePoly):
@@ -118,21 +118,9 @@ class SparsePoly:
             return self.scale(other)
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        out: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return SparsePoly._wrap(out)
+        return SparsePoly.sum_of_products(((1, self, other),))
 
-    def __rmul__(self, factor: int) -> "SparsePoly":
-        if not isinstance(factor, int):
-            return NotImplemented
-        return self.scale(factor)
+    __rmul__ = __mul__
 
     def scale(self, factor: int) -> "SparsePoly":
         """The polynomial factor * self; also spelled self * factor."""
@@ -146,7 +134,8 @@ class SparsePoly:
     ) -> "SparsePoly":
         """Sum of sign * a * b over (sign, a, b) triples, built in one fresh
         dict: no polynomial per product and no copy per partial sum.  Zero
-        coefficients are dropped once, at the end."""
+        coefficients are dropped once, at the end.  This is the only product
+        loop: a * b is the single triple (1, a, b)."""
         out: dict[int, int] = {}
         get = out.get
         for sign, a, b in terms:

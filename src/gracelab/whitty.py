@@ -17,7 +17,8 @@ beyond n = 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import asdict, dataclass
 from typing import Sequence, TypeVar
 
 from gracelab.digraph import (
@@ -60,10 +61,6 @@ class WhittyMatrices:
 
     lam: tuple[tuple, ...]
     upsilon: tuple[tuple, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.lam)
 
 
 def build_whitty(matrix: Sequence[Sequence[T]]) -> WhittyMatrices:
@@ -188,44 +185,34 @@ class Calibration:
     rhs_sign_convention: str
 
     def to_doc(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "minor_convention": self.minor_convention,
-            "column_order": self.column_order,
-            "rhs_sign_convention": self.rhs_sign_convention,
-        }
+        return asdict(self)
 
 
-_CALIBRATION: Calibration | None = None
-
-
+@functools.cache
 def calibration() -> Calibration:
     """Global sign, fixed once against the brute-force side at n = 2."""
-    global _CALIBRATION
-    if _CALIBRATION is None:
-        matrix = symbolic_matrix(2)
-        lhs = whitty_lhs(matrix) * _column_reversal_parity(2)
-        rhs = whitty_rhs_determinant_sign(matrix)
-        if lhs == rhs:
-            epsilon = 1
-        elif lhs == -rhs:
-            epsilon = -1
-        else:
-            raise AssertionError("calibration failed: lhs is not +/- rhs at n=2")
-        _CALIBRATION = Calibration(
-            epsilon=epsilon,
-            minor_convention="drop row and column 0 of the 0-indexed build",
-            column_order=(
-                "minor columns reread in ascending edge-label order "
-                "(printed column j carries label n-j), i.e. the printed "
-                "determinant times (-1)^floor((n-1)/2)"
-            ),
-            rhs_sign_convention=(
-                "sign_factor(f) * (-1)^#descents per tree; the plain "
-                "sign_factor reading is reported separately"
-            ),
-        )
-    return _CALIBRATION
+    matrix = symbolic_matrix(2)
+    lhs = whitty_lhs(matrix) * _column_reversal_parity(2)
+    rhs = whitty_rhs_determinant_sign(matrix)
+    if lhs == rhs:
+        epsilon = 1
+    elif lhs == -rhs:
+        epsilon = -1
+    else:
+        raise AssertionError("calibration failed: lhs is not +/- rhs at n=2")
+    return Calibration(
+        epsilon=epsilon,
+        minor_convention="drop row and column 0 of the 0-indexed build",
+        column_order=(
+            "minor columns reread in ascending edge-label order "
+            "(printed column j carries label n-j), i.e. the printed "
+            "determinant times (-1)^floor((n-1)/2)"
+        ),
+        rhs_sign_convention=(
+            "sign_factor(f) * (-1)^#descents per tree; the plain "
+            "sign_factor reading is reported separately"
+        ),
+    )
 
 
 @dataclass(frozen=True)

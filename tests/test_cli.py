@@ -126,8 +126,9 @@ class TestCoeff:
         assert code == 0
         assert out == "exponent: 21\ncoefficient: 6\n"
 
-    def test_p_path_sequence_at_the_ceiling(self, capsys):
-        # one loop and ten label-1 edges: the path, rooted at any of 11 vertices
+    def test_p_path_sequence_one_below_the_ceiling(self, capsys):
+        # n = 11, one below the coeff-p ceiling of 12: one loop and ten
+        # label-1 edges, the path rooted at any of its 11 vertices
         sequence = ",".join(["0"] + ["1"] * 10)
         code, out, _ = invoke(capsys, "coeff", "--which", "p", "--sequence", sequence)
         assert code == 0

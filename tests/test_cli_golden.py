@@ -18,6 +18,11 @@ The rows for genfun --which p --n 10 and coeff --which p on the graceful
 sequence 0,1,...,10 were generated from the command line as it stood
 before P was split along the reversal symmetry into two half-size
 determinants.
+The rows for props --n 4, props --n 6 --which f and neighbors on the
+3-cycle with --oracle were generated from the command line as it stood
+before the polynomial product, the report documents and the degree
+formulas were each reduced to one spelling; they pin F's degree claims
+at even n and the oracle sections when the flip family is empty.
 """
 
 import hashlib
@@ -99,6 +104,12 @@ GOLDEN = [
     (('genfun', '--which', 'p', '--n', '10', '--format', 'structured'), 0, "bb317707ee3e4bd379f012e8e370d63eff45d36c55e3bc9273cff59b677df2d2"),
     (('coeff', '--which', 'p', '--sequence', '0,1,2,3,4,5,6,7,8,9,10'), 0, "ac52914b5153a313521cfe203880e7fd6368d5d4e5deb034a4ab9455423bc516"),
     (('coeff', '--which', 'p', '--sequence', '0,1,2,3,4,5,6,7,8,9,10', '--format', 'structured'), 0, "8f5a661c1b04dba9759e4fa08983500b609fa7ef2336031f564b26d05e167c5b"),
+    (('props', '--n', '4'), 0, "0fa4902cac072fa833ce961a244b84c8c69402e6043febcc2deec0ec76fefe03"),
+    (('props', '--n', '4', '--format', 'structured'), 0, "7414a5a740d937739ab1eebefaad2993f2f6cfa7560d26a0456fb101ec17a1b0"),
+    (('props', '--n', '6', '--which', 'f'), 0, "cdb040e94321f170ff1d92eb9ae665506b1297f0a528ff01247b4b6464c03ec0"),
+    (('props', '--n', '6', '--which', 'f', '--format', 'structured'), 0, "ad8372b08714d2c87d9477546abd4988d46ea21108b1d7f46d92c19b0071e261"),
+    (('neighbors', '--graph', '3:1,2,0', '--oracle'), 1, "88001a278bfcd9bc0fe7727e1d12ebc6df16593dda65c66baa28a413156b35ce"),
+    (('neighbors', '--graph', '3:1,2,0', '--oracle', '--format', 'structured'), 1, "5a61815a01d866d8b6a4a69bec148d2da07134f7bacdb3258415ceed11b6e23a"),
     (('labels', '--graph', '3:0,9,1'), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 
