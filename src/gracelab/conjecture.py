@@ -19,9 +19,8 @@ definition.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from collections import Counter, namedtuple
+from typing import Iterator, NamedTuple, Sequence
 
 from gracelab.digraph import (
     FunctionalDigraph,
@@ -48,22 +47,43 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TreeClass:
+class TreeClass(namedtuple("TreeClass", "representative size sequences")):
     """A conjugation orbit of functional trees: canonical representative,
     size and, when read off the orbit by tree_classes, the label sequences
     its tables realize (a sorted tuple: smaller than a set, which matters
-    while tree_classes still holds every tree it has seen)."""
+    while tree_classes still holds every tree it has seen).
 
-    representative: FunctionalDigraph
-    size: int
-    sequences: tuple[tuple[int, ...], ...] | None = field(
-        default=None, compare=False, repr=False
-    )
+    Equality, hashing and repr read the representative and size only, so a
+    class from the shape sweep, which carries no sequences, equals the same
+    class read off its orbit."""
 
-    def __post_init__(self) -> None:
-        if not is_functional_tree(self.representative):
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        representative: FunctionalDigraph,
+        size: int,
+        sequences: tuple[tuple[int, ...], ...] | None = None,
+    ) -> "TreeClass":
+        if not is_functional_tree(representative):
             raise ValueError("representative is not a functional tree")
+        return super().__new__(cls, representative, size, sequences)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TreeClass):
+            return NotImplemented
+        return self[:2] == other[:2]
+
+    def __ne__(self, other: object) -> bool:
+        if not isinstance(other, TreeClass):
+            return NotImplemented
+        return self[:2] != other[:2]
+
+    def __hash__(self) -> int:
+        return hash(self[:2])
+
+    def __repr__(self) -> str:
+        return f"TreeClass(representative={self.representative!r}, size={self.size!r})"
 
 
 def star_sequences(n: int) -> list[tuple[int, ...]]:
@@ -216,8 +236,7 @@ def realizes(g: FunctionalDigraph, target: Sequence[int]) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     n: int
     classes: tuple[TreeClass, ...]
     missing: tuple[tuple[FunctionalDigraph, tuple[int, ...]], ...]

@@ -11,7 +11,7 @@ sigma f sigma^(-1) is gracefully labeled.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator, Sequence
 
 __all__ = [
@@ -31,16 +31,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(namedtuple("Permutation", "values")):
     """A bijection of Z_n onto itself, stored as its image tuple."""
 
-    values: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = len(self.values)
-        if sorted(self.values) != list(range(n)):
-            raise ValueError(f"not a permutation of Z_{n}: {self.values!r}")
+    def __new__(cls, values: tuple[int, ...]) -> "Permutation":
+        n = len(values)
+        if sorted(values) != list(range(n)):
+            raise ValueError(f"not a permutation of Z_{n}: {values!r}")
+        return super().__new__(cls, values)
 
     @property
     def n(self) -> int:
@@ -89,19 +89,19 @@ class Permutation:
         return sign
 
 
-@dataclass(frozen=True)
-class FunctionalDigraph:
+class FunctionalDigraph(namedtuple("FunctionalDigraph", "values")):
     """A function on Z_n given by its value table; edges are (i, f(i))."""
 
-    values: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = len(self.values)
+    def __new__(cls, values: tuple[int, ...]) -> "FunctionalDigraph":
+        n = len(values)
         if n == 0:
             raise ValueError("a functional digraph needs at least one vertex")
-        for i, v in enumerate(self.values):
+        for i, v in enumerate(values):
             if not 0 <= v < n:
                 raise ValueError(f"vertex {i} maps to {v}, outside [0, {n})")
+        return super().__new__(cls, values)
 
     @property
     def n(self) -> int:

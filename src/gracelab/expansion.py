@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import getitem, itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from gracelab.digraph import (
     FunctionalDigraph,
@@ -42,20 +42,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GracefulExpansion:
+class GracefulExpansion(namedtuple("GracefulExpansion", "sigma gamma p")):
     """Triple (sigma, gamma, p) parametrizing a graceful labeling."""
 
-    sigma: Permutation
-    gamma: Permutation
-    p: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = self.sigma.n
-        if self.gamma.n != n or len(self.p) != n:
+    def __new__(
+        cls, sigma: Permutation, gamma: Permutation, p: tuple[int, ...]
+    ) -> "GracefulExpansion":
+        n = sigma.n
+        if gamma.n != n or len(p) != n:
             raise ValueError("sigma, gamma, and p must share one length")
-        if any(bit not in (0, 1) for bit in self.p):
+        if any(bit not in (0, 1) for bit in p):
             raise ValueError("p must be a bit vector")
+        return super().__new__(cls, sigma, gamma, p)
 
     @property
     def n(self) -> int:
@@ -171,8 +171,7 @@ def count_valid_gammas(n: int) -> int:
     return math.factorial((n - 1) // 2) * math.factorial(n // 2)
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
+class SignedPermutation(namedtuple("SignedPermutation", "images")):
     """An odd bijection g of (-n, n) with i + g(i) in [0, n) for i >= 0.
 
     Oddness g(-i) = -g(i) forces g(0) = 0 and makes the restriction of
@@ -180,21 +179,23 @@ class SignedPermutation:
     Stored as the image tuple of (-n+1, ..., n-1).
     """
 
-    images: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        m = len(self.images)
+    def __new__(cls, images: tuple[int, ...]) -> "SignedPermutation":
+        m = len(images)
         if m % 2 == 0:
             raise ValueError("image tuple must cover -n+1..n-1, an odd count")
         n = (m + 1) // 2
-        if sorted(self.images) != list(range(-n + 1, n)):
-            raise ValueError(f"not a bijection of (-{n}, {n}): {self.images!r}")
+        if sorted(images) != list(range(-n + 1, n)):
+            raise ValueError(f"not a bijection of (-{n}, {n}): {images!r}")
+        self = super().__new__(cls, images)
         for i in range(n):
             if self.g(-i) != -self.g(i):
                 raise ValueError("not odd: g(-i) != -g(i)")
         for i in range(n):
             if not 0 <= i + self.g(i) < n:
                 raise ValueError(f"i + g(i) leaves [0, {n}) at i={i}")
+        return self
 
     @property
     def n(self) -> int:
@@ -235,8 +236,7 @@ def enumerate_sp(n: int) -> list[SignedPermutation]:
     return results
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     """The two sides of an identity computed two ways."""
 
     left: int

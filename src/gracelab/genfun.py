@@ -24,10 +24,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
 from functools import reduce
 from operator import add, getitem
-from typing import Sequence, TypeVar
+from typing import NamedTuple, Sequence, TypeVar
 
 from gracelab.digraph import functional_trees
 from gracelab.expansion import IdentityCheck
@@ -275,16 +274,14 @@ def tdmtt_check(matrix: Sequence[Sequence[int]]) -> IdentityCheck:
 
 # --- structural property checks -------------------------------------------
 
-@dataclass(frozen=True)
-class ClaimCheck:
+class ClaimCheck(NamedTuple):
     claim: str
     predicted: str
     computed: str
     status: str  # "pass" | "fail" | "discrepancy"
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(NamedTuple):
     which: str
     n: int
     checks: tuple[ClaimCheck, ...]
@@ -301,7 +298,9 @@ class PropertyReport:
         ]
 
     def to_doc(self) -> dict:
-        return {**asdict(self), "ok": self.ok}
+        # _asdict does not recurse, and json would print a nested check as a list
+        checks = [c._asdict() for c in self.checks]
+        return {**self._asdict(), "checks": checks, "ok": self.ok}
 
 
 def _check(claim: str, predicted: int, computed: int, *, hard: bool) -> ClaimCheck:

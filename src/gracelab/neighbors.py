@@ -11,7 +11,8 @@ measured, never assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from gracelab.digraph import (
     FunctionalDigraph,
@@ -34,22 +35,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ExpansionFamily:
+class ExpansionFamily(namedtuple("ExpansionFamily", "base members")):
     """Per-gamma parametrizations (sigma_gamma, p_gamma) of one base digraph."""
 
-    base: FunctionalDigraph
-    members: tuple[tuple[Permutation, Permutation, tuple[int, ...]], ...]
-    # each member is (gamma, sigma_gamma, p_gamma)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for gamma, sigma, p in self.members:
+    def __new__(
+        cls,
+        base: FunctionalDigraph,
+        # each member is (gamma, sigma_gamma, p_gamma)
+        members: tuple[tuple[Permutation, Permutation, tuple[int, ...]], ...],
+    ) -> "ExpansionFamily":
+        for gamma, sigma, p in members:
             got = expand(GracefulExpansion(sigma, gamma, p))
-            if got != self.base:
+            if got != base:
                 raise ValueError(
                     f"family member gamma={gamma.format()} expands to "
-                    f"{got.format()}, not the base {self.base.format()}"
+                    f"{got.format()}, not the base {base.format()}"
                 )
+        return super().__new__(cls, base, members)
 
 
 def expansion_family(base: FunctionalDigraph) -> ExpansionFamily:
@@ -136,8 +140,7 @@ def neighbors_bruteforce(g: FunctionalDigraph) -> list[FunctionalDigraph]:
     return [FunctionalDigraph(t) for t in sorted(found)]
 
 
-@dataclass(frozen=True)
-class NeighborReport:
+class NeighborReport(NamedTuple):
     generated: tuple[FunctionalDigraph, ...]
     oracle: tuple[FunctionalDigraph, ...]
     missing: tuple[FunctionalDigraph, ...]

@@ -18,8 +18,7 @@ beyond n = 2.
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass
-from typing import Sequence, TypeVar
+from typing import NamedTuple, Sequence, TypeVar
 
 from gracelab.digraph import (
     FunctionalDigraph,
@@ -55,8 +54,7 @@ def _ring_constants(matrix: Sequence[Sequence[T]]) -> tuple[T, T]:
     return 0, 1  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
-class WhittyMatrices:
+class WhittyMatrices(NamedTuple):
     """The banded matrices; entries whose A-index leaves [0, n) are zero."""
 
     lam: tuple[tuple, ...]
@@ -177,15 +175,14 @@ def _column_reversal_parity(n: int) -> int:
     return -1 if ((n - 1) // 2) % 2 else 1
 
 
-@dataclass(frozen=True)
-class Calibration:
+class Calibration(NamedTuple):
     epsilon: int
     minor_convention: str
     column_order: str
     rhs_sign_convention: str
 
     def to_doc(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 @functools.cache
@@ -215,8 +212,7 @@ def calibration() -> Calibration:
     )
 
 
-@dataclass(frozen=True)
-class WhittyCheck:
+class WhittyCheck(NamedTuple):
     lhs: object
     rhs: object
     equal_up_to_calibrated_sign: bool

@@ -66,6 +66,18 @@ class TestTreeClasses:
         with pytest.raises(ValueError):
             TreeClass(FunctionalDigraph((1, 0)), 1)
 
+    def test_equality_hash_and_repr_ignore_sequences(self):
+        for read_off in tree_classes(4):
+            bare = TreeClass(read_off.representative, read_off.size)
+            assert read_off.sequences is not None and bare.sequences is None
+            assert read_off == bare and not read_off != bare
+            assert hash(read_off) == hash(bare)
+            assert repr(read_off) == repr(bare)
+            assert "sequences" not in repr(read_off)
+        path, star = tree_classes(3)
+        assert path != TreeClass(path.representative, path.size + 1)
+        assert path != star
+
 
 class TestClassSequences:
     def test_star_class_matches_star_sequences(self):

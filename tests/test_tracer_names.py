@@ -2,15 +2,22 @@
 
 bench/tracer.py replaces the functions named in its SPANS tuple and HOT
 table with recording wrappers; a name that no longer resolves breaks the
-traced pass.  The file is read with ast, not imported, so this check needs
-nothing from bench/ at run time.
+traced pass.  The tracer wraps only the modules that ``import gracelab.cli``
+has loaded, so that import must load every wrapped module.  The file is
+read with ast, not imported, so this check needs nothing from bench/ at
+run time.
 """
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import gracelab
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -38,3 +45,20 @@ def test_wrapped_name_resolves(module, path):
     for part in path.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_cli_import_loads_every_wrapped_module_and_no_dataclasses():
+    # A fresh isolated interpreter, so that nothing imported by pytest or by
+    # other tests counts.  dataclasses costs every CLI process its import of
+    # inspect, ast, dis and tokenize, and each class it builds an exec.
+    src = Path(gracelab.__file__).resolve().parents[1]
+    code = (
+        f"import sys, json; sys.path.insert(0, {str(src)!r}); import gracelab.cli; "
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    )
+    loaded = set(json.loads(done.stdout))
+    assert "dataclasses" not in loaded
+    assert {f"gracelab.{module}" for module, _ in WRAPPED} <= loaded
