@@ -47,43 +47,16 @@ __all__ = [
 ]
 
 
-class TreeClass(namedtuple("TreeClass", "representative size sequences")):
-    """A conjugation orbit of functional trees: canonical representative,
-    size and, when read off the orbit by tree_classes, the label sequences
-    its tables realize (a sorted tuple: smaller than a set, which matters
-    while tree_classes still holds every tree it has seen).
-
-    Equality, hashing and repr read the representative and size only, so a
-    class from the shape sweep, which carries no sequences, equals the same
-    class read off its orbit."""
+class TreeClass(namedtuple("TreeClass", "representative size")):
+    """A conjugation orbit of functional trees: its canonical representative
+    and its size."""
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        representative: FunctionalDigraph,
-        size: int,
-        sequences: tuple[tuple[int, ...], ...] | None = None,
-    ) -> "TreeClass":
+    def __new__(cls, representative: FunctionalDigraph, size: int) -> "TreeClass":
         if not is_functional_tree(representative):
             raise ValueError("representative is not a functional tree")
-        return super().__new__(cls, representative, size, sequences)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TreeClass):
-            return NotImplemented
-        return self[:2] == other[:2]
-
-    def __ne__(self, other: object) -> bool:
-        if not isinstance(other, TreeClass):
-            return NotImplemented
-        return self[:2] != other[:2]
-
-    def __hash__(self) -> int:
-        return hash(self[:2])
-
-    def __repr__(self) -> str:
-        return f"TreeClass(representative={self.representative!r}, size={self.size!r})"
+        return super().__new__(cls, representative, size)
 
 
 def star_sequences(n: int) -> list[tuple[int, ...]]:
@@ -109,34 +82,28 @@ def tree_classes(n: int) -> list[TreeClass]:
 
     Oracle only: the CLI sweep (check_conjecture_42) takes its classes from
     tree_shapes and decides each sequence with realizes; this orbit walk is
-    what the tests compare those against.  Trees come from the pruned search digraph.functional_trees; each unseen
-    tree contributes its whole orbit at once, so canonicalization costs n!
-    per class, not per tree.  Each class keeps the label sequences of that
-    orbit, so class_sequences does not walk it again; classes share one
-    tuple per distinct sequence (247 distinct among 7444 kept at n=7).
+    what the tests compare those against.  Trees come from the pruned search
+    digraph.functional_trees; each unseen tree contributes its whole orbit
+    at once, so canonicalization costs n! per class, not per tree.
     """
     seen: set[tuple[int, ...]] = set()
-    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     classes: list[TreeClass] = []
     for values in functional_trees(n):
         if values in seen:
             continue
         orbit = _orbit(values)
         seen.update(orbit)
-        sequences = tuple(sorted(shared.setdefault(s, s) for s in _sequences(orbit)))
-        classes.append(TreeClass(FunctionalDigraph(min(orbit)), len(orbit), sequences))
+        classes.append(TreeClass(FunctionalDigraph(min(orbit)), len(orbit)))
     classes.sort(key=lambda c: c.representative.values)
     return classes
 
 
 def class_sequences(t: TreeClass) -> frozenset[tuple[int, ...]]:
     """All label sequences realized over the relabelings of the class,
-    read off the distinct tables of its orbit (kept by tree_classes).
+    read off the distinct tables of its orbit.
 
     Oracle only, like tree_classes: the CLI sweep decides each sequence
     with realizes instead."""
-    if t.sequences is not None:
-        return frozenset(t.sequences)
     return _sequences(_orbit(t.representative.values))
 
 

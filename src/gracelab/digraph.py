@@ -62,9 +62,6 @@ class Permutation(namedtuple("Permutation", "values")):
     def format(self) -> str:
         return ",".join(map(str, self.values))
 
-    def __call__(self, i: int) -> int:
-        return self.values[i]
-
     def inverse(self) -> "Permutation":
         inv = [0] * self.n
         for i, v in enumerate(self.values):

@@ -212,28 +212,23 @@ class SignedPermutation(namedtuple("SignedPermutation", "images")):
 
 
 def enumerate_sp(n: int) -> list[SignedPermutation]:
-    """All signed permutations per the invariants above, sorted by image tuple."""
+    """All signed permutations per the invariants above, sorted by image tuple.
+
+    For i >= 1, |g(i)| is a valid gamma and g(i) one of its in-range signed
+    steps, so the list is valid_gamma_tuples(n) times the sign choices at
+    each index; g(-i) = -g(i) fills the lower half.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
-    results: list[SignedPermutation] = []
-    upper = [0] * n  # upper[i] = g(i) for i in [0, n)
-
-    def rec(i: int, used: int) -> None:
-        if i == n:
-            lower = tuple(-upper[k] for k in range(n - 1, 0, -1))
-            results.append(SignedPermutation(lower + tuple(upper)))
-            return
-        for m in range(1, n):
-            if used & (1 << m):
-                continue
-            for s in (m, -m):
-                if 0 <= i + s < n:
-                    upper[i] = s
-                    rec(i + 1, used | (1 << m))
-
-    rec(1, 0)
-    results.sort(key=lambda sp: sp.images)
-    return results
+    if n == 1:
+        return [SignedPermutation((0,))]
+    upper = []  # (g(1), ..., g(n-1))
+    for gamma in valid_gamma_tuples(n):
+        steps = [[s for s in (m, -m) if 0 <= i + s < n] for i, m in enumerate(gamma)]
+        upper.extend(itertools.product(*steps[1:]))
+    return sorted(
+        SignedPermutation(tuple(-g for g in reversed(up)) + (0,) + up) for up in upper
+    )
 
 
 class IdentityCheck(NamedTuple):

@@ -140,9 +140,20 @@ def graceful_coefficient_F(n: int) -> int:
     return compute_F(n).coefficient(graceful_sequence_exponent(n, n + 1))
 
 
-def det_via_minor_expansion(
-    matrix: Sequence[Sequence[T]], zero: T, one: T
-) -> T:
+def _in_entry_ring(matrix: Sequence[Sequence[object]], poly: SparsePoly):
+    """poly in the ring of the matrix entries: an int exactly when every
+    entry is an int (the empty matrix counts as all-int), else poly itself.
+
+    Computations over int and SparsePoly entries alike lift every entry to
+    a polynomial (an int becomes a constant) and hand the result back
+    through this one rule; an all-int matrix gives a constant polynomial.
+    """
+    if all(isinstance(entry, int) for row in matrix for entry in row):
+        return poly.coefficient(0)
+    return poly
+
+
+def det_via_minor_expansion(matrix: Sequence[Sequence[T]]) -> T:
     """Exact determinant by Laplace expansion, row by row over column sets.
 
     Rows are consumed bottom-up: level k holds, for every k-column tuple,
@@ -154,9 +165,8 @@ def det_via_minor_expansion(
     its signed entry * subminor products go straight into one fresh dict.
 
     The same expansion serves SparsePoly and int matrices: every nonzero
-    entry is read as the polynomial 1 * entry (an int becomes a constant),
-    and a constant determinant is handed back as one * constant, which is an
-    int for an int matrix.
+    entry is read as the polynomial 1 * entry, and the determinant is
+    returned by _in_entry_ring, so an int matrix gives an int.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -164,7 +174,7 @@ def det_via_minor_expansion(
     unit = SparsePoly.one()
     minors: dict[tuple[int, ...], SparsePoly] = {(): unit}
     for k in range(1, n + 1):
-        row = [unit * entry if entry != zero else None for entry in matrix[n - k]]
+        row = [unit * entry if entry else None for entry in matrix[n - k]]
         minors = {
             cols: SparsePoly.sum_of_products(
                 (-1 if i % 2 else 1, row[c], minors[cols[:i] + cols[i + 1 :]])
@@ -173,14 +183,13 @@ def det_via_minor_expansion(
             )
             for cols in itertools.combinations(range(n), k)
         }
-    det = minors[tuple(range(n))]
-    constant = det.coefficient(0)
-    return one * constant if det == unit * constant else det  # type: ignore[return-value]
+    return _in_entry_ring(matrix, minors[tuple(range(n))])
 
 
 def det_poly(matrix: Sequence[Sequence[SparsePoly]]) -> SparsePoly:
-    """Exact determinant of a matrix of sparse polynomials."""
-    return det_via_minor_expansion(matrix, SparsePoly.zero(), SparsePoly.one())
+    """Exact determinant of a matrix of sparse polynomials (the empty
+    matrix counts as all-int: its determinant is the int 1)."""
+    return det_via_minor_expansion(matrix)
 
 
 def _row_sum_laplacian(matrix: Sequence[Sequence[T]]) -> list[list[T]]:
@@ -263,9 +272,7 @@ def tdmtt_check(matrix: Sequence[Sequence[int]]) -> IdentityCheck:
     laplacian = _row_sum_laplacian(matrix)
     left = 0
     for i in range(n):
-        left += matrix[i][i] * det_via_minor_expansion(
-            _principal_minor(laplacian, i), 0, 1
-        )
+        left += matrix[i][i] * det_via_minor_expansion(_principal_minor(laplacian, i))
     right = sum(
         math.prod(map(getitem, matrix, values)) for values in functional_trees(n)
     )

@@ -18,6 +18,7 @@ beyond n = 2.
 from __future__ import annotations
 
 import functools
+import math
 from typing import NamedTuple, Sequence, TypeVar
 
 from gracelab.digraph import (
@@ -27,7 +28,7 @@ from gracelab.digraph import (
     is_functional_tree,
     is_gracefully_labeled,
 )
-from gracelab.genfun import det_via_minor_expansion
+from gracelab.genfun import _in_entry_ring, det_via_minor_expansion
 from gracelab.polyring import SparsePoly
 
 __all__ = [
@@ -48,12 +49,6 @@ __all__ = [
 T = TypeVar("T")
 
 
-def _ring_constants(matrix: Sequence[Sequence[T]]) -> tuple[T, T]:
-    if isinstance(matrix[0][0], SparsePoly):
-        return SparsePoly.zero(), SparsePoly.one()  # type: ignore[return-value]
-    return 0, 1  # type: ignore[return-value]
-
-
 class WhittyMatrices(NamedTuple):
     """The banded matrices; entries whose A-index leaves [0, n) are zero."""
 
@@ -68,7 +63,7 @@ def build_whitty(matrix: Sequence[Sequence[T]]) -> WhittyMatrices:
     n = len(matrix)
     if n < 2 or any(len(row) != n for row in matrix):
         raise ValueError("need a square matrix with n >= 2")
-    zero, _ = _ring_constants(matrix)
+    zero = 0 * matrix[0][0]
     lam = []
     ups = []
     for i in range(n):
@@ -89,11 +84,10 @@ def whitty_lhs(matrix: Sequence[Sequence[T]]) -> T:
     Upsilon - Lambda (row and column 0 dropped)."""
     n = len(matrix)
     w = build_whitty(matrix)
-    zero, one = _ring_constants(matrix)
     minor = [
         [w.upsilon[i][j] - w.lam[i][j] for j in range(1, n)] for i in range(1, n)
     ]
-    return matrix[0][0] * det_via_minor_expansion(minor, zero, one)
+    return matrix[0][0] * det_via_minor_expansion(minor)
 
 
 def sign_factor(g: FunctionalDigraph) -> int:
@@ -103,39 +97,40 @@ def sign_factor(g: FunctionalDigraph) -> int:
     return Permutation(tuple(abs(v - i) for i, v in enumerate(g.values))).sign()
 
 
-def _descents(values: tuple[int, ...]) -> int:
-    return sum(1 for i, v in enumerate(values) if v < i)
+def _descent_parity(values: tuple[int, ...]) -> int:
+    # (-1)^(number of descents f(i) < i)
+    return -1 if sum(1 for i, v in enumerate(values) if v < i) % 2 else 1
 
 
 def tree_sign(g: FunctionalDigraph) -> int:
     """Sign with which a gracefully labeled tree term occurs in the
     determinant: sign_factor(g) * (-1)^(#descents)."""
-    return sign_factor(g) * (-1 if _descents(g.values) % 2 else 1)
-
-
-def _rooted_graceful_trees(n: int):
-    # Gracefully labeled functional trees rooted at 0 <=> f(0) = 0, the
-    # label multiset is Z_n, and the iterate collapses to a point.
-    for values in graceful_tables(n, fix0=True):
-        g = FunctionalDigraph(values)
-        if is_functional_tree(g):
-            yield g
+    return sign_factor(g) * _descent_parity(g.values)
 
 
 def _signed_tree_sums(matrix: Sequence[Sequence[T]]) -> tuple[T, T]:
-    # One walk, both readings: (sign_factor sum, tree_sign sum).
-    n = len(matrix)
-    zero, one = _ring_constants(matrix)
-    if n == 1:
-        return matrix[0][0], matrix[0][0]
-    label_total = descent_total = zero
-    for g in _rooted_graceful_trees(n):
-        term = one
-        for i, v in enumerate(g.values):
-            term = term * matrix[min(i, v)][max(i, v)]
-        label_total = label_total + term * sign_factor(g)
-        descent_total = descent_total + term * tree_sign(g)
-    return label_total, descent_total
+    # One walk, both readings: (sign_factor sum, tree_sign sum).  The
+    # gracefully labeled functional trees rooted at 0 are the tables with
+    # f(0) = 0 and label multiset Z_n whose iterate collapses to a point.
+    # Each tree's entry product is lifted to a polynomial once, and each
+    # reading is one sum_of_products over those terms.
+    unit = SparsePoly.one()
+    label_terms = []
+    descent_terms = []
+    for values in graceful_tables(len(matrix), fix0=True):
+        g = FunctionalDigraph(values)
+        if not is_functional_tree(g):
+            continue
+        term = unit * math.prod(
+            matrix[min(i, v)][max(i, v)] for i, v in enumerate(values)
+        )
+        sign = sign_factor(g)
+        label_terms.append((sign, term, unit))
+        descent_terms.append((sign * _descent_parity(values), term, unit))
+    return (
+        _in_entry_ring(matrix, SparsePoly.sum_of_products(label_terms)),
+        _in_entry_ring(matrix, SparsePoly.sum_of_products(descent_terms)),
+    )
 
 
 def whitty_rhs(matrix: Sequence[Sequence[T]]) -> T:

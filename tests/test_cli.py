@@ -237,6 +237,11 @@ class TestChecksExitZero:
         assert code == 0
         assert "pass: true" in out
 
+    def test_whitty_past_the_ceiling_is_usage_error(self, capsys):
+        code, out, err = invoke(capsys, "whitty", "--n", "11", "--symbolic")
+        assert code == 2 and out == ""
+        assert "whitty: n=11 outside feasible range [2, 10]" in err
+
     def test_props(self, capsys):
         code, out, _ = invoke(capsys, "props", "--n", "3")
         assert code == 0

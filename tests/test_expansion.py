@@ -197,8 +197,10 @@ class TestSignedPermutations:
             for values in all_value_tables(n)
             if values[0] == 0 and is_gracefully_labeled(FunctionalDigraph(values))
         }
-        got = {sp.to_digraph().values for sp in enumerate_sp(n)}
-        assert got == expected
+        sps = enumerate_sp(n)
+        assert {sp.to_digraph().values for sp in sps} == expected
+        images = [sp.images for sp in sps]
+        assert images == sorted(set(images))  # sorted by image tuple, no repeats
 
     def test_every_member_gracefully_labeled_fixing_zero(self):
         for n in range(2, 7):

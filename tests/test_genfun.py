@@ -259,7 +259,7 @@ class TestDeterminant:
     @pytest.mark.parametrize("seed", (1, 2))
     def test_matches_leibniz_on_integers(self, seed):
         m = integer_matrix(5, seed, -9, 9)
-        assert det_via_minor_expansion(m, 0, 1) == leibniz_det(m, 0, 1)
+        assert det_via_minor_expansion(m) == leibniz_det(m, 0, 1)
 
     @pytest.mark.parametrize("seed", (3, 4))
     def test_matches_leibniz_on_multi_term_polynomials(self, seed):
@@ -287,7 +287,7 @@ class TestDeterminant:
         gen = Lcg(100 + seed)
         pattern = [[gen.below(2) for _ in range(n)] for _ in range(n)]
         ints, polys = sparse_matrices(pattern, seed)
-        det = det_via_minor_expansion(ints, 0, 1)
+        det = det_via_minor_expansion(ints)
         assert type(det) is int
         assert det == leibniz_det(ints, 0, 1)
         zero, one = SparsePoly.zero(), SparsePoly.one()
@@ -305,7 +305,7 @@ class TestDeterminant:
         pattern = [[keep(i, j) for j in range(n)] for i in range(n)]
         ints, polys = sparse_matrices(pattern, n)
         zero, one = SparsePoly.zero(), SparsePoly.one()
-        det = det_via_minor_expansion(ints, 0, 1)
+        det = det_via_minor_expansion(ints)
         det_p = det_poly(polys)
         assert det == leibniz_det(ints, 0, 1)
         assert det_p == leibniz_det(polys, zero, one)
@@ -317,12 +317,20 @@ class TestDeterminant:
 
     @pytest.mark.parametrize("seed", (1, 2))
     def test_integer_matrix_gives_an_int(self, seed):
-        det = det_via_minor_expansion(integer_matrix(4, seed, -9, 9), 0, 1)
+        det = det_via_minor_expansion(integer_matrix(4, seed, -9, 9))
         assert type(det) is int
 
     def test_constant_polynomial_matrix_gives_a_polynomial(self):
         two, three = SparsePoly.monomial(0, 2), SparsePoly.monomial(0, 3)
         assert det_poly([[two, three], [three, two]]) == SparsePoly.monomial(0, -5)
+        # the result is an int only when every entry is one
+        for matrix in ([[two, three], [three, two]], [[2, 3], [3, two]]):
+            det = det_via_minor_expansion(matrix)
+            assert type(det) is SparsePoly and det == SparsePoly.monomial(0, -5)
+
+    def test_empty_matrix_is_all_int(self):
+        det = det_via_minor_expansion([])
+        assert type(det) is int and det == 1
 
     def test_total_cancellation_stores_nothing(self):
         a = SparsePoly([(1, 1), (0, 1)])

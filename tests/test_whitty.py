@@ -6,6 +6,7 @@ from gracelab.digraph import (
     is_functional_tree,
     is_gracefully_labeled,
 )
+from gracelab.polyring import SparsePoly
 from gracelab.seeds import integer_matrix
 from gracelab.whitty import (
     build_whitty,
@@ -116,6 +117,39 @@ class TestRhs:
             rhs = whitty_rhs_determinant_sign(symbolic_matrix(n))
             assert rhs.term_count() == len(rooted_graceful_trees(n))
 
+    def test_int_entries_give_ints(self):
+        a = integer_matrix(5, 1, 1, 100)
+        assert type(whitty_rhs(a)) is int
+        assert type(whitty_rhs_determinant_sign(a)) is int
+        assert type(whitty_lhs(a)) is int
+        assert type(whitty_rhs(symbolic_matrix(5))) is SparsePoly
+
+    def test_each_reading_copies_no_running_total(self, monkeypatch):
+        # each reading is one sum_of_products: no partial sum is ever copied
+        calls = []
+        plus = SparsePoly._plus
+
+        def counted(self, other, sign):
+            calls.append(sign)
+            return plus(self, other, sign)
+
+        monkeypatch.setattr(SparsePoly, "_plus", counted)
+        whitty_rhs(symbolic_matrix(7))
+        assert calls == []
+
+    def test_one_sign_factor_per_tree(self, monkeypatch):
+        from gracelab import whitty
+
+        calls = []
+
+        def counted(g):
+            calls.append(g.values)
+            return sign_factor(g)
+
+        monkeypatch.setattr(whitty, "sign_factor", counted)
+        whitty_rhs(symbolic_matrix(6))
+        assert sorted(calls) == sorted(g.values for g in rooted_graceful_trees(6))
+
 
 class TestWhittyCheck:
     def test_calibration_is_fixed_and_positive(self):
@@ -129,7 +163,7 @@ class TestWhittyCheck:
         assert check.equal_up_to_calibrated_sign
         assert check.calibration.epsilon == 1
 
-    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("n", range(2, 9))
     def test_symbolic_exact(self, n):
         check = whitty_check(symbolic_matrix(n))
         assert check.equal_up_to_calibrated_sign
@@ -176,8 +210,8 @@ class TestWhittyCheck:
             [w.upsilon[i][j] - w.lam[i][j] for j in range(1, n)] for i in range(1, n)
         ]
         reversed_minor = [row[::-1] for row in minor]
-        det = det_via_minor_expansion(minor, 0, 1)
-        det_reversed = det_via_minor_expansion(reversed_minor, 0, 1)
+        det = det_via_minor_expansion(minor)
+        det_reversed = det_via_minor_expansion(reversed_minor)
         assert det_reversed == _column_reversal_parity(n) * det
 
 
