@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from typing import Iterator, Sequence
+from operator import add
+from typing import Callable, Iterator, Sequence, TypeVar
 
 __all__ = [
     "Permutation",
@@ -28,7 +29,10 @@ __all__ = [
     "is_gracefully_labeled",
     "is_functional_tree",
     "relabel",
+    "tree_folds",
 ]
+
+T = TypeVar("T")
 
 
 class Permutation(namedtuple("Permutation", "values")):
@@ -167,58 +171,90 @@ def is_functional_tree(g: FunctionalDigraph) -> bool:
 
 # --- pruned oracle generators ----------------------------------------------
 #
-# Both generators assign f(0), f(1), ... in turn, trying values in increasing
-# order, so they yield exactly the tables that the itertools.product filter
+# Both searches assign f(0), f(1), ... in turn, trying values in increasing
+# order, so they visit exactly the tables that the itertools.product filter
 # would keep, in the same lexicographic order.  They prune on the definitions
 # alone (the label bitmask; the cycle structure of a tree), never on the
 # gamma/sign-pattern theory, so the oracles built on them stay independent of
 # the fast paths they check.
 
 
-def functional_trees(n: int) -> Iterator[tuple[int, ...]]:
-    """Yield the n^(n-1) functional-tree value tables on Z_n, lexicographically.
+def tree_folds(rows: Sequence[Sequence[T]], op: Callable[[T, T], T]) -> Iterator[T]:
+    """Yield op(...op(op(rows[0][f(0)], rows[1][f(1)]), ...), rows[n-1][f(n-1)])
+    for every functional tree f on Z_n, n = len(rows), lexicographically in f.
 
-    An assignment f(i) = v is pruned when it adds a second loop, or when the
-    path v, f(v), f(f(v)), ... through assigned vertices returns to i (a
-    cycle of length >= 2).  A complete table with no such cycle and one loop
-    is a tree, and every unpruned partial table extends to one, so the search
-    has no dead ends.
+    The search assigns f(0), ..., f(n-2) in turn.  An assignment f(i) = v is
+    pruned when it adds a second loop, or when the path v, f(v), f(f(v)),
+    ... through assigned vertices returns to i (a cycle of length >= 2).
+    Every unpruned partial table extends to a tree, so the search has no
+    dead ends.  The paths are tracked as sets: reach[u], for the loop and
+    for each unassigned u, is the bitmask of the vertices whose path ends
+    at u, so the cycle test is one bit of reach[i].  The fold over the
+    assigned vertices is kept per depth, so each search node costs one op.
+    The last vertex is placed in one pass: with no loop yet it can only
+    take the loop; otherwise it takes exactly the vertices in the loop's
+    reach, in increasing order.
     """
+    n = len(rows)
     if n < 1:
         raise ValueError("need n >= 1")
-    values = [0] * n
-    start = [0] * n  # next value to try at each position
+    last = n - 1
+    if not last:
+        yield rows[0][0]
+        return
+    full = (1 << n) - 1
+    values = [0] * last
+    reach = [1 << u for u in range(n)]
+    left = [full] + [0] * (last - 1)  # bitmask of the values still to try
+    end = [0] * last  # where the path from f(i) ends (-1 for the loop)
+    acc = [rows[0][0]] * n  # acc[i]: the fold over vertices 0..i-1 (i >= 1)
+    last_row = rows[last]
+    picks: dict[int, list[T]] = {}  # the loop's reach -> last_row entries
     root = -1  # the vertex carrying the loop, once one is assigned
     i = 0
     while i >= 0:
-        if i == n:
-            yield tuple(values)
+        r = left[i]
+        if not r:
             i -= 1
-            continue
-        if root == i:
-            root = -1
-        v = start[i]
-        while v < n:
+        else:
+            low = r & -r
+            left[i] = r ^ low
+            v = low.bit_length() - 1
+            values[i] = v
+            acc[i + 1] = op(acc[i], rows[i][v]) if i else rows[0][v]
             if v == i:
-                if root < 0:
-                    break
+                root = i
+                end[i] = -1
             else:
-                w = v
-                while w < i and values[w] != w:
-                    w = values[w]
-                if w != i:
-                    break
-            v += 1
-        if v == n:
-            i -= 1
-            continue
-        values[i] = v
-        if v == i:
-            root = i
-        start[i] = v + 1
-        i += 1
-        if i < n:
-            start[i] = 0
+                t = v
+                while t < i and values[t] != t:
+                    t = values[t]
+                reach[t] |= reach[i]
+                end[i] = t
+            if i + 1 < last:
+                i += 1
+                left[i] = full ^ reach[i] | (root < 0) << i
+                continue
+            if root < 0:
+                yield op(acc[last], last_row[last])
+            else:
+                m = reach[root]
+                p = picks.get(m)
+                if p is None:
+                    p = picks[m] = [last_row[u] for u in range(last) if m >> u & 1]
+                yield from map(op, itertools.repeat(acc[last]), p)
+        if i >= 0:  # take back the assignment at position i
+            t = end[i]
+            if t < 0:
+                root = -1
+            else:
+                reach[t] ^= reach[i]
+
+
+def functional_trees(n: int) -> Iterator[tuple[int, ...]]:
+    """Yield the n^(n-1) functional-tree value tables on Z_n, lexicographically:
+    tree_folds with the one-tuple (v,) as the weight of each edge (i, v)."""
+    return tree_folds([[(v,) for v in range(n)]] * n, add)
 
 
 def graceful_tables(n: int, fix0: bool = False) -> Iterator[tuple[int, ...]]:

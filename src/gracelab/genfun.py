@@ -25,10 +25,10 @@ import itertools
 import math
 from collections import Counter
 from functools import reduce
-from operator import add, getitem
+from operator import add, mul
 from typing import NamedTuple, Sequence, TypeVar
 
-from gracelab.digraph import functional_trees
+from gracelab.digraph import tree_folds
 from gracelab.expansion import IdentityCheck
 # Unused here, but bench/test_bench.py checks that a traced pass restores it.
 from gracelab.digraph import is_functional_tree  # noqa: F401
@@ -102,9 +102,17 @@ def compute_F_bruteforce(n: int) -> SparsePoly:
 
     Choosing one term per row of _label_powers is choosing f, so the
     product over rows visits every function once, and the sum of its
-    choice is that function's exponent.
+    choice is that function's exponent.  The rows are split at n // 2:
+    each head sum (a choice of f(0), ..., f(n//2 - 1)) is added to every
+    tail sum, one addition per function.
     """
-    return SparsePoly(Counter(map(sum, itertools.product(*_label_powers(n, n + 1)))))
+    rows = _label_powers(n, n + 1)
+    heads = map(sum, itertools.product(*rows[: n // 2]))
+    tails = list(map(sum, itertools.product(*rows[n // 2 :])))
+    counts: Counter[int] = Counter()
+    for head in heads:
+        counts.update(map(head.__add__, tails))
+    return SparsePoly(counts)
 
 
 def encode_sequence(labels: Sequence[int], base: int) -> int:
@@ -251,13 +259,11 @@ def compute_P(n: int) -> SparsePoly:
 def compute_P_bruteforce(n: int) -> SparsePoly:
     """Oracle: enumerate the functional trees directly, sum their monomials.
 
-    The trees come from the pruned search digraph.functional_trees, which
-    uses only the cycle/loop definition of a tree.
+    The trees come from the pruned search digraph.tree_folds, which uses
+    only the cycle/loop definition of a tree and adds up each tree's edge
+    terms as it goes.
     """
-    rows = _label_powers(n, n)
-    return SparsePoly(
-        Counter(sum(map(getitem, rows, values)) for values in functional_trees(n))
-    )
+    return SparsePoly(Counter(tree_folds(_label_powers(n, n), add)))
 
 
 def tdmtt_check(matrix: Sequence[Sequence[int]]) -> IdentityCheck:
@@ -266,16 +272,14 @@ def tdmtt_check(matrix: Sequence[Sequence[int]]) -> IdentityCheck:
     left  = sum over roots i of A[i,i] * det of the i-th principal
             complement of diag(A * 1) - A, by exact minor expansion;
     right = sum over functional trees f of prod_i A[i, f(i)], enumerated
-            by the pruned search digraph.functional_trees.
+            by the pruned search digraph.tree_folds.
     """
     n = len(matrix)
     laplacian = _row_sum_laplacian(matrix)
     left = 0
     for i in range(n):
         left += matrix[i][i] * det_via_minor_expansion(_principal_minor(laplacian, i))
-    right = sum(
-        math.prod(map(getitem, matrix, values)) for values in functional_trees(n)
-    )
+    right = sum(tree_folds(matrix, mul))
     return IdentityCheck(left, right)
 
 

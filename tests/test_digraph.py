@@ -1,4 +1,5 @@
 import itertools
+from operator import add, mul
 
 import pytest
 
@@ -16,6 +17,7 @@ from gracelab.digraph import (
     is_gracefully_labeled,
     is_functional_tree,
     relabel,
+    tree_folds,
 )
 from gracelab.digraph import _conjugate, _labelings, _labels_are_graceful
 
@@ -102,6 +104,7 @@ class TestOracleGenerators:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_cayley_count(self, n):
         assert sum(1 for _ in functional_trees(n)) == n ** (n - 1)
+        assert sum(tree_folds([[1] * n] * n, mul)) == n ** (n - 1)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_fix0_tables_fix_zero(self, n):
@@ -109,7 +112,20 @@ class TestOracleGenerators:
         assert tables
         assert all(t[0] == 0 for t in tables)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_tree_folds_keep_the_edge_order(self, n):
+        # concatenation does not commute, so each fold must take the edges
+        # of its tree in vertex order, trees in lexicographic order
+        tags = [[f"{i}>{v};" for v in range(n)] for i in range(n)]
+        expected = [
+            "".join(tags[i][v] for i, v in enumerate(values))
+            for values in functional_trees(n)
+        ]
+        assert list(tree_folds(tags, add)) == expected
+
     def test_rejects_empty_domain(self):
+        with pytest.raises(ValueError):
+            next(tree_folds([], add))
         with pytest.raises(ValueError):
             next(functional_trees(0))
         with pytest.raises(ValueError):

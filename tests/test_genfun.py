@@ -149,7 +149,9 @@ class TestComputeF:
     def test_total_count(self, n):
         assert compute_F(n).eval_at_one() == n**n
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    # The scan splits the rows at n // 2: n = 1 has an empty head, n = 2 a
+    # one-row tail, n = 7 an odd split.
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_bruteforce_is_the_per_table_sum(self, n):
         assert compute_F_bruteforce(n) == label_monomials(all_value_tables(n), n + 1)
 
@@ -389,7 +391,7 @@ class TestComputeP:
         sym, anti = reversal_blocks(n)
         assert p_laplacian_cofactor(n, n // 2) == det_poly(sym) * det_poly(anti)
 
-    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("n", range(2, 8))
     def test_matches_bruteforce(self, n):
         assert compute_P(n) == compute_P_bruteforce(n)
 
@@ -446,7 +448,7 @@ class TestTdmtt:
         check = tdmtt_check([[2, 3], [5, 7]])
         assert check.left == check.right == 2 * 5 + 3 * 7
 
-    @pytest.mark.parametrize("n", range(3, 7))
+    @pytest.mark.parametrize("n", range(3, 8))
     @pytest.mark.parametrize("seed", (1, 2, 3))
     def test_random_matrices(self, n, seed):
         assert tdmtt_check(integer_matrix(n, seed, 1, 50)).equal
