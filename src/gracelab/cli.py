@@ -40,7 +40,7 @@ MAX_N = {
     "coeff-p": 12,
     "props": 8,
     "tdmtt": 8,
-    "whitty": 10,
+    "whitty": 11,
     "neighbors": 10,
     "neighbors-oracle": 6,
     "conjecture": 10,

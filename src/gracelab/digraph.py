@@ -266,29 +266,19 @@ def graceful_tables(n: int, fix0: bool = False) -> Iterator[tuple[int, ...]]:
     if n < 1:
         raise ValueError("need n >= 1")
     values = [0] * n
-    start = [0] * n
-    used = 0
-    i = 0
-    while i >= 0:
-        if i == n:
-            yield tuple(values)
-            i -= 1
-            continue
-        if start[i]:  # coming back: release the label of the last try
-            used &= ~(1 << abs(values[i] - i))
-        v = start[i]
-        end = 1 if fix0 and i == 0 else n
-        while v < end and used >> abs(v - i) & 1:
-            v += 1
-        if v >= end:
-            i -= 1
-            continue
-        values[i] = v
-        used |= 1 << abs(v - i)
-        start[i] = v + 1
-        i += 1
-        if i < n:
-            start[i] = 0
+
+    def extend(i: int, used: int) -> Iterator[tuple[int, ...]]:
+        for v in range(1 if fix0 and not i else n):
+            bit = 1 << abs(v - i)
+            if used & bit:
+                continue
+            values[i] = v
+            if i == n - 1:
+                yield tuple(values)
+            else:
+                yield from extend(i + 1, used | bit)
+
+    yield from extend(0, 0)
 
 
 def _conjugate(values: tuple[int, ...], sigma: tuple[int, ...]) -> tuple[int, ...]:

@@ -15,8 +15,6 @@ column sums, and all its principal cofactors are equal: re-rooting a tree
 reverses the edges on one path, which keeps every label |i - f(i)|.  X is
 also Toeplitz, so the Laplacian commutes with the reversal i -> n-1-i, and
 that cofactor splits into two determinants of half the size (compute_P).
-The integer identity check tdmtt_check keeps the sum over all roots,
-because its seeded matrix is not symmetric.
 """
 
 from __future__ import annotations
@@ -269,16 +267,19 @@ def compute_P_bruteforce(n: int) -> SparsePoly:
 def tdmtt_check(matrix: Sequence[Sequence[int]]) -> IdentityCheck:
     """Directed matrix tree theorem on an integer matrix.
 
-    left  = sum over roots i of A[i,i] * det of the i-th principal
-            complement of diag(A * 1) - A, by exact minor expansion;
+    left  = sum over roots i of A[i,i] * det L^(i), L = diag(A * 1) - A,
+            as one determinant by exact minor expansion: L has zero row
+            sums, so L * adj(L) = 0 and each row of cofactors of L is
+            constant, C[i][i] = C[i][0].  Expanding along column 0 then
+            gives the sum as det of L with column 0 replaced by the
+            diagonal A[0][0], ..., A[n-1][n-1];
     right = sum over functional trees f of prod_i A[i, f(i)], enumerated
             by the pruned search digraph.tree_folds.
     """
-    n = len(matrix)
     laplacian = _row_sum_laplacian(matrix)
-    left = 0
-    for i in range(n):
-        left += matrix[i][i] * det_via_minor_expansion(_principal_minor(laplacian, i))
+    left = det_via_minor_expansion(
+        [[matrix[i][i], *row[1:]] for i, row in enumerate(laplacian)]
+    )
     right = sum(tree_folds(matrix, mul))
     return IdentityCheck(left, right)
 

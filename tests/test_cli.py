@@ -238,9 +238,9 @@ class TestChecksExitZero:
         assert "pass: true" in out
 
     def test_whitty_past_the_ceiling_is_usage_error(self, capsys):
-        code, out, err = invoke(capsys, "whitty", "--n", "11", "--symbolic")
+        code, out, err = invoke(capsys, "whitty", "--n", "12", "--symbolic")
         assert code == 2 and out == ""
-        assert "whitty: n=11 outside feasible range [2, 10]" in err
+        assert "whitty: n=12 outside feasible range [2, 11]" in err
 
     def test_props(self, capsys):
         code, out, _ = invoke(capsys, "props", "--n", "3")

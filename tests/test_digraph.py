@@ -101,6 +101,26 @@ class TestOracleGenerators:
         assert list(graceful_tables(n)) == expected
         assert list(graceful_tables(n, fix0=True)) == [v for v in expected if v[0] == 0]
 
+    @pytest.mark.parametrize(
+        "n, count", enumerate((1, 2, 6, 20, 84, 392, 2136, 12752, 85584), start=1)
+    )
+    def test_graceful_table_count(self, n, count):
+        assert sum(1 for _ in graceful_tables(n)) == count
+
+    @pytest.mark.parametrize(
+        "n, tables, trees",
+        zip(
+            range(1, 11),
+            (1, 1, 2, 4, 12, 40, 168, 784, 4272, 25504),
+            # G(n), the number of monomials of the Whitty determinant
+            (1, 1, 2, 4, 12, 40, 164, 752, 4020, 23576),
+        ),
+    )
+    def test_fix0_table_and_tree_counts(self, n, tables, trees):
+        fixing_zero = list(graceful_tables(n, fix0=True))
+        assert len(fixing_zero) == tables
+        assert sum(is_functional_tree(FunctionalDigraph(v)) for v in fixing_zero) == trees
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_cayley_count(self, n):
         assert sum(1 for _ in functional_trees(n)) == n ** (n - 1)

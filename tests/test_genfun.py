@@ -453,6 +453,28 @@ class TestTdmtt:
     def test_random_matrices(self, n, seed):
         assert tdmtt_check(integer_matrix(n, seed, 1, 50)).equal
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [integer_matrix(n, seed, 1, 50) for n in range(1, 7) for seed in range(4)]
+        + [[[0, 3, 0, 1], [2, 0, 5, 0], [0, 0, 4, 7], [6, 1, 0, 0]]],
+    )
+    def test_left_side_is_the_all_roots_sum(self, matrix):
+        # sum_i A[i,i] * det of the i-th principal minor of diag(A * 1) - A
+        n = len(matrix)
+        laplacian = [
+            [sum(row) - row[j] if i == j else -row[j] for j in range(n)]
+            for i, row in enumerate(matrix)
+        ]
+        left = 0
+        for root in range(n):
+            minor = [
+                [entry for j, entry in enumerate(row) if j != root]
+                for i, row in enumerate(laplacian)
+                if i != root
+            ]
+            left += matrix[root][root] * leibniz_det(minor, 0, 1)
+        assert tdmtt_check(matrix).left == left
+
     @pytest.mark.parametrize("n", range(2, 6))
     def test_right_side_is_the_per_tree_product_sum(self, n):
         matrix = integer_matrix(n, 4, 1, 50)
