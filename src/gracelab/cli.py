@@ -74,8 +74,35 @@ def _check_seed(args) -> None:
         raise UsageError(f"{args.command}: --seed must be non-negative, got {args.seed}")
 
 
+# Polynomial terms, one %-template per term: the compact form of
+# json.dumps(poly.to_pairs(), separators=(",", ":")) and the rows that
+# json.dumps(..., indent=2) writes for it as a field of a structured document.
+_TERM = '["%d","%d"]'
+_TERM_ROW = '    [\n      "%d",\n      "%d"\n    ]'
+
+
 def _poly_json(poly: SparsePoly) -> str:
-    return json.dumps(poly.to_pairs(), separators=(",", ":"))
+    return "[" + ",".join(map(_TERM.__mod__, poly.items())) + "]"
+
+
+class _Rendered(str):
+    """A field of a structured document, already written as its indent-2 JSON."""
+
+
+def _terms_field(poly: SparsePoly) -> _Rendered:
+    if poly.is_zero():
+        return _Rendered("[]")
+    return _Rendered("[\n" + ",\n".join(map(_TERM_ROW.__mod__, poly.items())) + "\n  ]")
+
+
+def _document(doc: dict) -> str:
+    """json.dumps(doc, indent=2), with each _Rendered field written as it is."""
+    fields = []
+    for key, value in doc.items():
+        if not isinstance(value, _Rendered):
+            value = json.dumps(value, indent=2).replace("\n", "\n  ")
+        fields.append(f"  {json.dumps(key)}: {value}")
+    return "{\n" + ",\n".join(fields) + "\n}"
 
 
 def _bool(flag: bool) -> str:
@@ -135,20 +162,19 @@ def _cmd_grl(args) -> tuple[bool, dict | list[str]]:
 def _cmd_gammas(args) -> tuple[bool, dict | list[str]]:
     n = args.n
     _gate("gammas", n, minimum=2)
-    gammas = expansion_mod.valid_gamma_tuples(n)
+    # the same text as Permutation.format, written by the kernel itself
+    gammas = expansion_mod.valid_gammas(n, ["0", *(",%d" % v for v in range(1, n))])
     count = expansion_mod.count_valid_gammas(n)
     agree = len(gammas) == count
-    # the same text as Permutation.format, from one template per run
-    template = ",".join(["%d"] * n)
     if args.format == "structured":
         return agree, {
             "n": n,
-            "gammas": [template % values for values in gammas],
+            "gammas": gammas,
             "enumerated": len(gammas),
             "formula": count,
             "status": "pass" if agree else "fail",
         }
-    lines = [template % values for values in gammas[: args.limit]]
+    lines = gammas[: args.limit]
     lines.append(f"{len(gammas)} = {(n - 1) // 2}!*{n // 2}!")
     if not agree:
         lines.append(f"MISMATCH: enumerated {len(gammas)}, formula {count}")
@@ -214,7 +240,7 @@ def _cmd_genfun(args) -> tuple[bool, dict | list[str]]:
     violations = _count_violations(which, args.n, poly)
     ok = identical and not violations
     if args.format == "structured":
-        doc = {"which": which, "n": args.n, "terms": poly.to_pairs()}
+        doc = {"which": which, "n": args.n, "terms": _terms_field(poly)}
         if violations:
             doc["violations"] = violations
         doc["status"] = "pass" if ok else "fail"
@@ -503,7 +529,7 @@ def _execute(argv: Sequence[str]) -> tuple[int, str]:
         return 2, ""
     code = 0 if ok else 1
     if args.format == "structured":
-        return code, json.dumps({"command": args.command, **out}, indent=2) + "\n"
+        return code, _document({"command": args.command, **out}) + "\n"
     return code, "\n".join(out) + "\n" if out else ""
 
 

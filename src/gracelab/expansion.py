@@ -14,8 +14,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
-from operator import getitem, itemgetter
-from typing import NamedTuple, Sequence
+from operator import getitem
+from typing import NamedTuple, Sequence, TypeVar
 
 from gracelab.digraph import (
     FunctionalDigraph,
@@ -39,7 +39,10 @@ __all__ = [
     "tau_bounds",
     "tau_bruteforce",
     "valid_gamma_tuples",
+    "valid_gammas",
 ]
+
+T = TypeVar("T")
 
 
 class GracefulExpansion(namedtuple("GracefulExpansion", "sigma gamma p")):
@@ -109,57 +112,82 @@ def enumerate_valid_gammas_by_filter(n: int) -> list[Permutation]:
     return out
 
 
-def valid_gamma_tuples(n: int) -> list[tuple[int, ...]]:
-    """Image tuples of the valid gammas, in ascending order.
+def _values(mask: int) -> list[int]:
+    """The set bits of mask, ascending."""
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
-    Magnitudes are placed largest-first: magnitude m can sit at index i
-    only when i >= m (step down) or i <= n-1-m (step up).  Magnitudes above
-    ceil((n-1)/2) see disjoint up/down ranges and are placed one by one;
-    the remaining small magnitudes fit every leftover index, so they are
-    permuted freely.  Every tuple passes the same check as Permutation
-    (its sorted values are 0..n-1) before it is returned, else ValueError.
+
+def valid_gammas(n: int, pieces: Sequence[T]) -> list[T]:
+    """Every valid gamma on Z_n as pieces[0] + pieces[g(1)] + ... +
+    pieces[g(n-1)], in ascending order of g.
+
+    Index i >= 1 may take the values 1..max(i, n-1-i).  Indices 1, 2, ...
+    are assigned in turn, each trying the values left in increasing order,
+    so each set of values left has one ordered list of completions and the
+    gammas come out sorted.  From index n // 2 on those lists are memoized,
+    keyed by the bitmask of the values left; above it nothing is shared.
+    Each completion carries its signature, the sum of (n+1)^v over its
+    values.  n values give each base-(n+1) digit a count of at most n, so
+    a gamma is a permutation of Z_n exactly when its signature is the sum of
+    (n+1)^k over k < n; every gamma is checked so before it is returned,
+    else ValueError.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    small_top = n // 2  # ceil((n-1)/2)
-    large = list(range(n - 1, small_top, -1))
-    small = range(1, small_top + 1)
-    results: list[tuple[int, ...]] = []
-    gamma = [0] * n
+    top = n - 1
+    weights = [(n + 1) ** v for v in range(n)]
+    target = sum(weights)
+    allowed = [(2 << max(i, top - i)) - 2 for i in range(n)]  # values 1..max as bits
+    memo: dict[int, tuple[list[T], list[int]]] = {}
+    out: list[T] = []
 
-    def place(k: int, open_indices: list[int]) -> None:
-        if k == len(large):
-            # Each gamma here is the placed values followed by one ordering
-            # of the small magnitudes, read back into index order.
-            placed = [i for i in range(n) if i not in open_indices]
-            head = tuple(gamma[i] for i in placed)
-            slot = {i: pos for pos, i in enumerate(placed + open_indices)}
-            reorder = itemgetter(*(slot[i] for i in range(n)))
-            orderings = itertools.permutations(small)
-            results.extend(map(reorder, map(head.__add__, orderings)))
+    def completions(i: int, left: int) -> tuple[list[T], list[int]]:
+        done = memo.get(left)
+        if done is None:
+            if i == top:
+                vs = _values(left)
+                done = [pieces[v] for v in vs], [weights[v] for v in vs]
+            else:
+                items: list[T] = []
+                sigs: list[int] = []
+                for v in _values(left & allowed[i]):
+                    rest, rest_sigs = completions(i + 1, left & ~(1 << v))
+                    items += map(pieces[v].__add__, rest)
+                    sigs += map(weights[v].__add__, rest_sigs)
+                done = items, sigs
+            memo[left] = done
+        return done
+
+    def extend(i: int, left: int, head: T, sig: int) -> None:
+        if i < n // 2:
+            for v in _values(left & allowed[i]):
+                extend(i + 1, left & ~(1 << v), head + pieces[v], sig + weights[v])
             return
-        m = large[k]
-        for pos, i in enumerate(open_indices):
-            if i >= m or i <= n - 1 - m:
-                gamma[i] = m
-                place(k + 1, open_indices[:pos] + open_indices[pos + 1 :])
+        items, sigs = completions(i, left)
+        need = target - sig
+        if sigs.count(need) != len(sigs):
+            bad = next(k for k, s in enumerate(sigs) if s != need)
+            raise ValueError(f"not a permutation of Z_{n}: {head + items[bad]!r}")
+        out.extend(map(head.__add__, items))
 
-    place(0, list(range(1, n)))
-    results.sort()
-    identity = list(range(n))
-    for values in results:
-        if sorted(values) != identity:
-            raise ValueError(f"not a permutation of Z_{n}: {values!r}")
-    return results
+    extend(1, (1 << n) - 2, pieces[0], weights[0])
+    memo.clear()  # the closures form a cycle that would keep the memo alive
+    return out
+
+
+def valid_gamma_tuples(n: int) -> list[tuple[int, ...]]:
+    """Image tuples of the valid gammas, in ascending order: valid_gammas
+    over one-tuples, each checked to be a permutation of Z_n."""
+    return valid_gammas(n, [(v,) for v in range(n)])
 
 
 def enumerate_valid_gammas(n: int) -> list[Permutation]:
     """Enumerate the valid gammas as Permutations, in ascending order.
 
-    A wrapper over the one enumeration, valid_gamma_tuples: magnitudes are
-    placed largest-first into plain image tuples, which are sorted and each
+    A wrapper over the one enumeration, valid_gammas: every image tuple is
     checked to be a permutation of Z_n (ValueError otherwise) before any
-    Permutation is built.  The CLI lists the tuples themselves.
+    Permutation is built.  The CLI lists the gammas as text from the same
+    kernel.
     """
     return [Permutation(values) for values in valid_gamma_tuples(n)]
 

@@ -57,7 +57,8 @@ class SparsePoly:
 
     def items(self) -> list[tuple[int, int]]:
         """Terms as (exponent, coefficient) pairs, ascending exponent."""
-        return sorted(self._terms.items())
+        terms = self._terms
+        return [(e, terms[e]) for e in sorted(terms)]
 
     def coefficient(self, exponent: int) -> int:
         return self._terms.get(exponent, 0)

@@ -112,11 +112,11 @@ def _signed_tree_sums(matrix: Sequence[Sequence[T]]) -> tuple[T, T]:
     # One walk, both readings: (sign_factor sum, tree_sign sum).  The
     # gracefully labeled functional trees rooted at 0 are the tables with
     # f(0) = 0 and label multiset Z_n whose iterate collapses to a point.
-    # Each tree's entry product is lifted to a polynomial once, and each
-    # reading is one sum_of_products over those terms.
+    # Each tree's entry product is lifted to a polynomial once and kept with
+    # its sign and descent parity; each reading is one sum_of_products over
+    # that one list.
     unit = SparsePoly.one()
-    label_terms = []
-    descent_terms = []
+    trees = []
     for values in graceful_tables(len(matrix), fix0=True):
         g = FunctionalDigraph(values)
         if not is_functional_tree(g):
@@ -124,13 +124,10 @@ def _signed_tree_sums(matrix: Sequence[Sequence[T]]) -> tuple[T, T]:
         term = unit * math.prod(
             matrix[min(i, v)][max(i, v)] for i, v in enumerate(values)
         )
-        sign = sign_factor(g)
-        label_terms.append((sign, term, unit))
-        descent_terms.append((sign * _descent_parity(values), term, unit))
-    return (
-        _in_entry_ring(matrix, SparsePoly.sum_of_products(label_terms)),
-        _in_entry_ring(matrix, SparsePoly.sum_of_products(descent_terms)),
-    )
+        trees.append((sign_factor(g), _descent_parity(values), term))
+    label = SparsePoly.sum_of_products((s, term, unit) for s, _, term in trees)
+    descent = SparsePoly.sum_of_products((s * p, term, unit) for s, p, term in trees)
+    return _in_entry_ring(matrix, label), _in_entry_ring(matrix, descent)
 
 
 def whitty_rhs(matrix: Sequence[Sequence[T]]) -> T:

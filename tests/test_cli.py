@@ -79,14 +79,49 @@ class TestGammas:
         assert json.loads(out)["gammas"] == text.splitlines()[:-1]
 
     def test_every_printed_gamma_passes_the_permutation_check(self, capsys, monkeypatch):
-        import itertools
+        from gracelab import expansion
 
-        monkeypatch.setattr(
-            itertools, "permutations", lambda small: [(small[0],) * len(small)]
-        )
+        # a kernel that never takes value 1 out of the values left repeats it
+        values = expansion._values
+        monkeypatch.setattr(expansion, "_values", lambda mask: values(mask | 0b10))
         with pytest.raises(ValueError, match="not a permutation"):
             run(["gammas", "--n", "5", "--limit", "0"])
         assert capsys.readouterr().out == ""
+
+
+class TestTermRenderers:
+    """The %-template term renderers write what json.dumps writes."""
+
+    @staticmethod
+    def polys():
+        from gracelab.polyring import SparsePoly
+        from gracelab.whitty import symbolic_matrix, whitty_lhs
+
+        # the Whitty determinant has negative coefficients
+        return [whitty_lhs(symbolic_matrix(n)) for n in (3, 5)] + [
+            SparsePoly.zero(),
+            SparsePoly({0: -1, 2**70: 3**50}),
+        ]
+
+    def test_compact_form(self):
+        from gracelab.cli import _poly_json
+
+        for poly in self.polys():
+            assert _poly_json(poly) == json.dumps(poly.to_pairs(), separators=(",", ":"))
+
+    def test_indent_two_terms_field(self):
+        from gracelab.cli import _document, _terms_field
+
+        for poly in self.polys():
+            doc = {"n": 5, "terms": poly.to_pairs(), "status": "pass"}
+            spliced = {**doc, "terms": _terms_field(poly)}
+            assert _document(spliced) == json.dumps(doc, indent=2)
+
+    def test_document_writes_nested_fields_as_json_dumps(self):
+        from gracelab.cli import _document
+
+        doc = {"a": [], "b": {}, "c": [{"x": [1, [2]], "y": None}], "d": "\n\"", "e": 1.5}
+        assert _document(doc) == json.dumps(doc, indent=2)
 
 
 class TestGenfun:

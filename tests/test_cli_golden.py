@@ -23,6 +23,10 @@ The rows for props --n 4, props --n 6 --which f and neighbors on the
 before the polynomial product, the report documents and the degree
 formulas were each reduced to one spelling; they pin F's degree claims
 at even n and the oracle sections when the flip family is empty.
+The rows for gammas --n 10 (text and structured) and genfun --which f
+--n 6 --format structured were generated from the command line as it
+stood before the valid gammas came from one memoized kernel as text and
+the polynomial terms were written from one template per term.
 """
 
 import hashlib
@@ -110,6 +114,9 @@ GOLDEN = [
     (('props', '--n', '6', '--which', 'f', '--format', 'structured'), 0, "ad8372b08714d2c87d9477546abd4988d46ea21108b1d7f46d92c19b0071e261"),
     (('neighbors', '--graph', '3:1,2,0', '--oracle'), 1, "88001a278bfcd9bc0fe7727e1d12ebc6df16593dda65c66baa28a413156b35ce"),
     (('neighbors', '--graph', '3:1,2,0', '--oracle', '--format', 'structured'), 1, "5a61815a01d866d8b6a4a69bec148d2da07134f7bacdb3258415ceed11b6e23a"),
+    (('gammas', '--n', '10'), 0, "e234fd67e63d4ba013c36288eedee671e97cdf2afbd25ed0b4002030d4811bb0"),
+    (('gammas', '--n', '10', '--format', 'structured'), 0, "0f1ddd4790c4ada418200228e4480275067007853b5f3495ce051b53884161bd"),
+    (('genfun', '--which', 'f', '--n', '6', '--format', 'structured'), 0, "a7bcdaac621dbd8c0c5064869058e2c3a8f8b1a57e9a6413ca42c62034a5f2ff"),
     (('labels', '--graph', '3:0,9,1'), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from gracelab import expansion
 from gracelab.digraph import (
     FunctionalDigraph,
     Permutation,
@@ -23,6 +24,7 @@ from gracelab.expansion import (
     tau_bounds,
     tau_bruteforce,
     valid_gamma_tuples,
+    valid_gammas,
 )
 from gracelab.seeds import integer_matrix
 
@@ -145,16 +147,18 @@ class TestEnumerateValidGammas:
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_tuples_match_filter_oracle_in_order(self, n):
+        oracle = enumerate_valid_gammas_by_filter(n)
         tuples = valid_gamma_tuples(n)
-        assert tuples == [g.values for g in enumerate_valid_gammas_by_filter(n)]
+        assert tuples == [g.values for g in oracle]
         assert all(is_valid_gamma(Permutation(values)) for values in tuples)
+        lines = valid_gammas(n, ["0", *(",%d" % v for v in range(1, n))])
+        assert lines == [g.format() for g in oracle]
 
     def test_a_tuple_that_is_no_permutation_raises(self, monkeypatch):
-        # repeat one magnitude in the freely permuted block
-        monkeypatch.setattr(
-            itertools, "permutations", lambda small: [(small[0],) * len(small)]
-        )
-        with pytest.raises(ValueError, match="not a permutation of Z_5"):
+        # a kernel that never takes value 1 out of the values left repeats it
+        values = expansion._values
+        monkeypatch.setattr(expansion, "_values", lambda mask: values(mask | 0b10))
+        with pytest.raises(ValueError, match=r"not a permutation of Z_5: \(0, 1, 1"):
             valid_gamma_tuples(5)
 
     @pytest.mark.parametrize("n", range(2, 10))
