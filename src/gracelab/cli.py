@@ -336,8 +336,6 @@ def _cmd_whitty(args) -> tuple[bool, dict | list[str]]:
         matrix = integer_matrix(args.n, args.seed, 1, 100)
     check = whitty_mod.whitty_check(matrix)
     render = _poly_json if args.symbolic else str
-    lhs_text = render(check.lhs)
-    rhs_text = render(check.rhs)
     ok = check.equal_up_to_calibrated_sign
     parity = whitty_mod._column_reversal_parity(args.n)
     if args.format == "structured":
@@ -345,16 +343,16 @@ def _cmd_whitty(args) -> tuple[bool, dict | list[str]]:
             "n": args.n,
             "symbolic": args.symbolic,
             "seed": None if args.symbolic else args.seed,
-            "lhs": lhs_text,
-            "rhs": rhs_text,
+            "lhs": render(check.lhs),
+            "rhs": render(check.rhs),
             "column_reversal_parity": parity,
             "calibration": check.calibration.to_doc(),
             "label_signature_reading_agrees": check.label_signature_reading_agrees,
             "status": "pass" if ok else "fail",
         }
     return ok, [
-        f"lhs: {lhs_text}",
-        f"rhs: {rhs_text}",
+        f"lhs: {render(check.lhs)}",
+        f"rhs: {render(check.rhs)}",
         f"column_reversal_parity: {parity:+d}",
         f"epsilon: {check.calibration.epsilon:+d}",
         f"pass: {_bool(ok)}",

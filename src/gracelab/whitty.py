@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
+from itertools import product
 from typing import NamedTuple, Sequence, TypeVar
 
 from gracelab.digraph import (
@@ -112,22 +114,26 @@ def _signed_tree_sums(matrix: Sequence[Sequence[T]]) -> tuple[T, T]:
     # One walk, both readings: (sign_factor sum, tree_sign sum).  The
     # gracefully labeled functional trees rooted at 0 are the tables with
     # f(0) = 0 and label multiset Z_n whose iterate collapses to a point.
-    # Each tree's entry product is lifted to a polynomial once and kept with
-    # its sign and descent parity; each reading is one sum_of_products over
-    # that one list.
-    unit = SparsePoly.one()
-    trees = []
-    for values in graceful_tables(len(matrix), fix0=True):
-        g = FunctionalDigraph(values)
-        if not is_functional_tree(g):
-            continue
-        term = unit * math.prod(
-            matrix[min(i, v)][max(i, v)] for i, v in enumerate(values)
-        )
-        trees.append((sign_factor(g), _descent_parity(values), term))
-    label = SparsePoly.sum_of_products((s, term, unit) for s, _, term in trees)
-    descent = SparsePoly.sum_of_products((s * p, term, unit) for s, p, term in trees)
-    return _in_entry_ring(matrix, label), _in_entry_ring(matrix, descent)
+    # Cell (i, j) is read once, from A[min(i, j), max(i, j)], as its
+    # (exponent, coefficient) terms (an int c is c * x^0).  A tree's entry
+    # product is expanded one term per entry; each expanded term is one
+    # exponent sum and one coefficient product, added with its sign into
+    # one exponent dict per reading.
+    n = len(matrix)
+    cells = [
+        [(SparsePoly.one() * matrix[min(i, j)][max(i, j)]).items() for j in range(n)]
+        for i in range(n)
+    ]
+    label, descent = Counter(), Counter()
+    tables = map(FunctionalDigraph, graceful_tables(n, fix0=True))
+    for g in filter(is_functional_tree, tables):
+        s, parity = sign_factor(g), _descent_parity(g.values)
+        for t in product(*[row[v] for row, v in zip(cells, g.values)]):
+            exponents, coefficients = zip(*t)
+            e, c = sum(exponents), math.prod(coefficients)
+            label[e] += s * c
+            descent[e] += s * parity * c
+    return tuple(_in_entry_ring(matrix, SparsePoly(d)) for d in (label, descent))
 
 
 def whitty_rhs(matrix: Sequence[Sequence[T]]) -> T:

@@ -1,8 +1,11 @@
+import math
+
 import pytest
 
 from gracelab.digraph import (
     FunctionalDigraph,
     all_value_tables,
+    graceful_tables,
     is_functional_tree,
     is_gracefully_labeled,
 )
@@ -40,6 +43,28 @@ def integer_entries(n, start=2):
         for j in range(i, n):
             matrix[i][j] = value
             value += 1
+    return matrix
+
+
+def general_entries(n):
+    # two-term polynomials in the upper triangle, with a zero polynomial, a
+    # zero int and a nonzero int between them; exponents repeat across
+    # cells, so different trees can share (and cancel) a term.  Every tree
+    # reads cells (0, 0) and (0, n - 1), which are never zero.
+    matrix = [[0] * n for _ in range(n)]
+    k = 0
+    for i in range(n):
+        for j in range(i, n):
+            kind = k % 7 if (i, j) not in ((0, 0), (0, n - 1)) else 0
+            if kind == 3:
+                matrix[i][j] = SparsePoly.zero()
+            elif kind == 5:
+                matrix[i][j] = 0
+            elif kind == 6:
+                matrix[i][j] = -2
+            else:
+                matrix[i][j] = SparsePoly({k % 4: 1 + k % 3, 2 + k % 5: -1})
+            k += 1
     return matrix
 
 
@@ -149,6 +174,48 @@ class TestRhs:
         monkeypatch.setattr(whitty, "sign_factor", counted)
         whitty_rhs(symbolic_matrix(6))
         assert sorted(calls) == sorted(g.values for g in rooted_graceful_trees(6))
+
+    def test_no_polynomial_product_per_tree(self, monkeypatch):
+        # each cell is lifted to its terms once; a tree's entry product is
+        # int arithmetic, so the polynomial products are at most n^2
+        # (164 trees at n=7)
+        n = 7
+        calls = []
+        sum_of_products = SparsePoly.sum_of_products.__func__
+
+        def counted(cls, terms):
+            calls.append(1)
+            return sum_of_products(cls, terms)
+
+        monkeypatch.setattr(SparsePoly, "sum_of_products", classmethod(counted))
+        whitty_rhs(symbolic_matrix(n))
+        assert len(calls) <= n * n
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_general_entries_match_the_per_tree_sums(self, n):
+        matrix = general_entries(n)
+        label = descent = SparsePoly.zero()
+        for values in graceful_tables(n, fix0=True):
+            g = FunctionalDigraph(values)
+            if not is_functional_tree(g):
+                continue
+            term = SparsePoly.one() * math.prod(
+                matrix[min(i, v)][max(i, v)] for i, v in enumerate(values)
+            )
+            label += term * sign_factor(g)
+            descent += term * tree_sign(g)
+        assert label and descent
+        assert whitty_rhs(matrix) == label
+        assert whitty_rhs_determinant_sign(matrix) == descent
+
+    @pytest.mark.parametrize("n, trees", [(9, 4020), (10, 23576)])
+    def test_symbolic_term_counts(self, n, trees):
+        # one signed monomial per gracefully labeled tree rooted at 0
+        from gracelab.whitty import _signed_tree_sums
+
+        for reading in _signed_tree_sums(symbolic_matrix(n)):
+            assert reading.term_count() == trees
+            assert all(c in (-1, 1) for _, c in reading.items())
 
 
 class TestWhittyCheck:
