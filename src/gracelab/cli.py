@@ -337,7 +337,6 @@ def _cmd_whitty(args) -> tuple[bool, dict | list[str]]:
     check = whitty_mod.whitty_check(matrix)
     render = _poly_json if args.symbolic else str
     ok = check.equal_up_to_calibrated_sign
-    parity = whitty_mod._column_reversal_parity(args.n)
     if args.format == "structured":
         return ok, {
             "n": args.n,
@@ -345,15 +344,15 @@ def _cmd_whitty(args) -> tuple[bool, dict | list[str]]:
             "seed": None if args.symbolic else args.seed,
             "lhs": render(check.lhs),
             "rhs": render(check.rhs),
-            "column_reversal_parity": parity,
-            "calibration": check.calibration.to_doc(),
+            "column_reversal_parity": check.column_reversal_parity,
+            "calibration": check.calibration._asdict(),
             "label_signature_reading_agrees": check.label_signature_reading_agrees,
             "status": "pass" if ok else "fail",
         }
     return ok, [
         f"lhs: {render(check.lhs)}",
         f"rhs: {render(check.rhs)}",
-        f"column_reversal_parity: {parity:+d}",
+        f"column_reversal_parity: {check.column_reversal_parity:+d}",
         f"epsilon: {check.calibration.epsilon:+d}",
         f"pass: {_bool(ok)}",
         f"label_signature_reading_agrees: {_bool(check.label_signature_reading_agrees)}",

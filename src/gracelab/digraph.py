@@ -74,20 +74,24 @@ class Permutation(namedtuple("Permutation", "values")):
 
     def sign(self) -> int:
         """Signature: +1 for even permutations, -1 for odd ones."""
-        seen = [False] * self.n
-        sign = 1
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            length = 0
-            v = start
-            while not seen[v]:
-                seen[v] = True
-                v = self.values[v]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        return sign
+        return _cycle_sign(self.values)
+
+
+def _cycle_sign(values: Sequence[int]) -> int:
+    """Signature of the permutation with image list ``values``, taken by
+    walking each cycle once: a cycle of length k contributes (-1)^(k-1).
+    ``values`` is not validated."""
+    seen = [False] * len(values)
+    sign = 1
+    for start, v in enumerate(values):
+        if seen[start]:
+            continue
+        seen[start] = True
+        while v != start:
+            seen[v] = True
+            v = values[v]
+            sign = -sign
+    return sign
 
 
 class FunctionalDigraph(namedtuple("FunctionalDigraph", "values")):

@@ -9,15 +9,15 @@ functional trees rooted at 0.
 Each surviving tree term carries the sign of the signed permutation
 f - id: the signature of the label permutation |f - id| times
 (-1)^(number of descents f(i) < i).  The calibration record documents the
-conventions under which the two sides agree with one global sign; the
-weaker per-tree sign reading (label-permutation signature alone) is
+conventions under which the two sides agree; its global sign epsilon is
+fixed at +1, and the check asserts equality under it with nothing fitted.
+The weaker per-tree sign reading (label-permutation signature alone) is
 computed too and reported, because it does not reproduce the determinant
 beyond n = 2.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
 from itertools import product
@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence, TypeVar
 
 from gracelab.digraph import (
     FunctionalDigraph,
-    Permutation,
+    _cycle_sign,
     graceful_tables,
     is_functional_tree,
     is_gracefully_labeled,
@@ -96,7 +96,7 @@ def sign_factor(g: FunctionalDigraph) -> int:
     """Signature of the label permutation i -> |f(i) - i|."""
     if not is_gracefully_labeled(g):
         raise ValueError(f"not gracefully labeled: {g.format()}")
-    return Permutation(tuple(abs(v - i) for i, v in enumerate(g.values))).sign()
+    return _cycle_sign([abs(v - i) for i, v in enumerate(g.values)])
 
 
 def _descent_parity(values: tuple[int, ...]) -> int:
@@ -179,24 +179,12 @@ class Calibration(NamedTuple):
     column_order: str
     rhs_sign_convention: str
 
-    def to_doc(self) -> dict:
-        return self._asdict()
 
-
-@functools.cache
 def calibration() -> Calibration:
-    """Global sign, fixed once against the brute-force side at n = 2."""
-    matrix = symbolic_matrix(2)
-    lhs = whitty_lhs(matrix) * _column_reversal_parity(2)
-    rhs = whitty_rhs_determinant_sign(matrix)
-    if lhs == rhs:
-        epsilon = 1
-    elif lhs == -rhs:
-        epsilon = -1
-    else:
-        raise AssertionError("calibration failed: lhs is not +/- rhs at n=2")
+    """The conventions under which the two sides agree; the global sign is
+    fixed at +1, never fitted."""
     return Calibration(
-        epsilon=epsilon,
+        epsilon=1,
         minor_convention="drop row and column 0 of the 0-indexed build",
         column_order=(
             "minor columns reread in ascending edge-label order "
@@ -215,29 +203,28 @@ class WhittyCheck(NamedTuple):
     rhs: object
     equal_up_to_calibrated_sign: bool
     calibration: Calibration
+    column_reversal_parity: int
     rhs_label_signature_reading: object
     label_signature_reading_agrees: bool
 
 
 def whitty_check(matrix: Sequence[Sequence[T]]) -> WhittyCheck:
-    """Compare both sides of the identity under the calibrated conventions.
+    """Compare both sides of the identity under the fixed conventions.
 
     lhs is the printed determinant side; rhs the descent-signed tree sum.
-    Equality is asserted as (lhs in label column order) == epsilon * rhs.
-    The label-signature-only rhs reading is evaluated and reported.
+    Equality is asserted as lhs * (-1)^floor((n-1)/2) == rhs, the printed
+    determinant read in label column order with epsilon = +1.  The
+    label-signature-only rhs reading is evaluated and reported.
     """
-    cal = calibration()
-    n = len(matrix)
     lhs = whitty_lhs(matrix)
     rhs_printed, rhs = _signed_tree_sums(matrix)
-    lhs_label_order = lhs * _column_reversal_parity(n)
-    equal = lhs_label_order == rhs * cal.epsilon
-    printed_agrees = lhs in (rhs_printed, -rhs_printed)
+    parity = _column_reversal_parity(len(matrix))
     return WhittyCheck(
         lhs=lhs,
         rhs=rhs,
-        equal_up_to_calibrated_sign=equal,
-        calibration=cal,
+        equal_up_to_calibrated_sign=lhs * parity == rhs,
+        calibration=calibration(),
+        column_reversal_parity=parity,
         rhs_label_signature_reading=rhs_printed,
-        label_signature_reading_agrees=printed_agrees,
+        label_signature_reading_agrees=lhs in (rhs_printed, -rhs_printed),
     )

@@ -123,6 +123,22 @@ class TestSignFactor:
         with pytest.raises(ValueError, match="not gracefully labeled"):
             sign_factor(FunctionalDigraph((0, 1)))
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_the_inversion_count_sign(self, n):
+        # every gracefully labeled table, against (-1)^#inversions of its
+        # label permutation and (-1)^#descents f(i) < i counted here
+        tables = list(graceful_tables(n))
+        assert tables
+        for values in tables:
+            labels = [abs(v - i) for i, v in enumerate(values)]
+            inversions = sum(
+                1 for j in range(n) for i in range(j) if labels[i] > labels[j]
+            )
+            descents = sum(1 for i, v in enumerate(values) if v < i)
+            g = FunctionalDigraph(values)
+            assert sign_factor(g) == (-1) ** inversions
+            assert tree_sign(g) == (-1) ** (inversions + descents)
+
 
 class TestRhs:
     def test_n1_is_corner_entry(self):
@@ -222,6 +238,59 @@ class TestWhittyCheck:
     def test_calibration_is_fixed_and_positive(self):
         cal = calibration()
         assert cal.epsilon == 1
+
+    def test_calibration_computes_neither_side(self, monkeypatch):
+        from gracelab import whitty
+
+        def fail(matrix):
+            raise AssertionError("calibration evaluated a side of the identity")
+
+        monkeypatch.setattr(whitty, "whitty_lhs", fail)
+        monkeypatch.setattr(whitty, "_signed_tree_sums", fail)
+        # a warm cache would hide a fit
+        getattr(whitty.calibration, "cache_clear", lambda: None)()
+        assert calibration().epsilon == 1
+
+    def test_negated_determinant_fails(self, monkeypatch, capsys):
+        # epsilon is not fitted, so a globally negated determinant side
+        # cannot pass as a sign convention
+        from gracelab import cli, whitty
+
+        det = whitty.det_via_minor_expansion
+        monkeypatch.setattr(whitty, "det_via_minor_expansion", lambda m: -det(m))
+        # a warm cache would hide a refit
+        getattr(whitty.calibration, "cache_clear", lambda: None)()
+        for n in range(2, 7):
+            assert not whitty_check(symbolic_matrix(n)).equal_up_to_calibrated_sign
+        capsys.readouterr()
+        assert cli.run(["whitty", "--n", "4", "--symbolic"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "epsilon: +1" in lines
+        assert "pass: false" in lines
+
+    def test_nothing_is_fitted_or_read_privately(self):
+        # no cached fit in whitty, and the CLI takes the column reversal
+        # parity from the check record
+        import ast
+        import inspect
+
+        from gracelab import cli, whitty
+
+        imported = set()
+        for node in ast.walk(ast.parse(inspect.getsource(whitty))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module)
+        assert "functools" not in imported
+        assert "_column_reversal_parity" not in inspect.getsource(cli)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_check_carries_the_column_reversal_parity(self, n):
+        from gracelab.whitty import _column_reversal_parity
+
+        check = whitty_check(integer_entries(n))
+        assert check.column_reversal_parity == _column_reversal_parity(n)
 
     @pytest.mark.parametrize("n", range(2, 7))
     @pytest.mark.parametrize("seed", (1, 2, 3))
