@@ -442,69 +442,61 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, help_text: str):
-        p = sub.add_parser(name, help=help_text)
+    def option(flag: str, **spec) -> argparse.ArgumentParser:
+        shared = argparse.ArgumentParser(add_help=False)
+        shared.add_argument(flag, **spec)
+        return shared
+
+    text_or_json = option(
+        "--format",
+        choices=("text", "structured"),
+        default="text",
+        help="plain lines or a single JSON document",
+    )
+    graph = option("--graph", required=True)
+    n = option("--n", type=int, required=True)
+    limit = option("--limit", type=int)
+    seed = option("--seed", type=int, default=0)
+    which = option("--which", choices=("f", "p"), required=True)
+    oracle = option("--oracle", action="store_true")
+
+    def add(name: str, handler, help_text: str, *options) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text, parents=[text_or_json, *options])
         p.set_defaults(handler=handler)
-        p.add_argument(
-            "--format",
-            choices=("text", "structured"),
-            default="text",
-            help="plain lines or a single JSON document",
-        )
         return p
 
-    p = add("labels", _cmd_labels, "induced subtractive edge label sequence")
-    p.add_argument("--graph", required=True)
-
-    p = add("graceful", _cmd_graceful, "gracefully-labeled and graceful predicates")
-    p.add_argument("--graph", required=True)
-
-    p = add("grl", _cmd_grl, "distinct gracefully labeled conjugates")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--limit", type=int)
-
-    p = add("gammas", _cmd_gammas, "enumerate valid gammas and check the count")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--limit", type=int)
-
-    p = add("sp", _cmd_sp, "signed permutations and the entry-product identity")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--limit", type=int)
-
-    p = add("tau", _cmd_tau, "bounds and brute-force count of tau_n")
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("genfun", _cmd_genfun, "label-sequence generating function")
-    p.add_argument("--which", choices=("f", "p"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--oracle", action="store_true")
-
-    p = add("coeff", _cmd_coeff, "coefficient of one label sequence")
-    p.add_argument("--which", choices=("f", "p"), required=True)
+    add("labels", _cmd_labels, "induced subtractive edge label sequence", graph)
+    add("graceful", _cmd_graceful, "gracefully-labeled and graceful predicates", graph)
+    add("grl", _cmd_grl, "distinct gracefully labeled conjugates", graph, limit)
+    add("gammas", _cmd_gammas, "enumerate valid gammas and check the count", n, limit)
+    add(
+        "sp",
+        _cmd_sp,
+        "signed permutations and the entry-product identity",
+        n,
+        seed,
+        limit,
+    )
+    add("tau", _cmd_tau, "bounds and brute-force count of tau_n", n)
+    add("genfun", _cmd_genfun, "label-sequence generating function", which, n, oracle)
+    p = add("coeff", _cmd_coeff, "coefficient of one label sequence", which)
     p.add_argument("--sequence", required=True, help="comma-separated labels")
-
-    p = add("props", _cmd_props, "structural property reports for F and P")
-    p.add_argument("--n", type=int, required=True)
+    p = add("props", _cmd_props, "structural property reports for F and P", n)
     p.add_argument("--which", choices=("f", "p"))
-
-    p = add("tdmtt", _cmd_tdmtt, "directed matrix tree theorem spot check")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("whitty", _cmd_whitty, "Whitty determinantal identity check")
-    p.add_argument("--n", type=int, required=True)
+    add("tdmtt", _cmd_tdmtt, "directed matrix tree theorem spot check", n, seed)
+    p = add("whitty", _cmd_whitty, "Whitty determinantal identity check", n)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--symbolic", action="store_true")
     group.add_argument("--seed", type=int, default=0)
-
-    p = add("neighbors", _cmd_neighbors, "edit-distance-one graceful neighbors")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--oracle", action="store_true")
-    p.add_argument("--limit", type=int)
-
-    p = add("conjecture", _cmd_conjecture, "star-sequence inclusion sweep")
-    p.add_argument("--n", type=int, required=True)
+    add(
+        "neighbors",
+        _cmd_neighbors,
+        "edit-distance-one graceful neighbors",
+        graph,
+        oracle,
+        limit,
+    )
+    add("conjecture", _cmd_conjecture, "star-sequence inclusion sweep", n)
 
     return parser
 

@@ -532,6 +532,14 @@ def _least_conjugator(
     return tuple(out)
 
 
+def _graceful_hits(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Each sigma of the labeling search, with one edge of each label as its
+    target, whose conjugate table sigma f sigma^(-1) reads back gracefully
+    labeled; a hit that does not is dropped."""
+    hits = _labelings(values, [1] * len(values))
+    return (s for s in hits if _labels_are_graceful(_conjugate(values, s)))
+
+
 def _first_conjugators(
     values: tuple[int, ...],
 ) -> dict[tuple[int, ...], tuple[int, ...]]:
@@ -539,16 +547,15 @@ def _first_conjugators(
     lexicographically least sigma with sigma f sigma^(-1) == table."""
     code = _structure(values)[2]
     reached: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for s in _labelings(values, [1] * len(values)):
+    for s in _graceful_hits(values):
         reached.setdefault(_conjugate(values, s), s)
     return {t: _least_conjugator(values, t, s, code) for t, s in reached.items()}
 
 
 def is_graceful(g: FunctionalDigraph) -> bool:
     """True iff some relabeling of g is gracefully labeled; the labeling
-    search, with one edge of each label as its target, stops at its first
-    hit."""
-    return next(_labelings(g.values, [1] * g.n), None) is not None
+    search stops at its first hit that reads back gracefully labeled."""
+    return next(_graceful_hits(g.values), None) is not None
 
 
 def grl_set(g: FunctionalDigraph) -> list[FunctionalDigraph]:
@@ -557,7 +564,7 @@ def grl_set(g: FunctionalDigraph) -> list[FunctionalDigraph]:
     The labeling search may reach one table from several sigma (automorphisms
     other than twin swaps); the set keeps each once.
     """
-    found = {_conjugate(g.values, s) for s in _labelings(g.values, [1] * g.n)}
+    found = {_conjugate(g.values, s) for s in _graceful_hits(g.values)}
     return [FunctionalDigraph(t) for t in sorted(found)]
 
 

@@ -209,14 +209,6 @@ def _row_sum_laplacian(matrix: Sequence[Sequence[T]]) -> list[list[T]]:
     return out
 
 
-def _principal_minor(matrix: Sequence[Sequence[T]], drop: int) -> list[list[T]]:
-    return [
-        [entry for j, entry in enumerate(row) if j != drop]
-        for i, row in enumerate(matrix)
-        if i != drop
-    ]
-
-
 def compute_P(n: int) -> SparsePoly:
     """Functional-tree generating function from two half-size determinants.
 
@@ -250,7 +242,7 @@ def compute_P(n: int) -> SparsePoly:
     if n % 2:
         scale, det_sym = n, det_poly(sym)
     else:
-        scale, det_sym = h, det_poly(_principal_minor(sym, h - 1))
+        scale, det_sym = h, det_poly([row[:-1] for row in sym[:-1]])
     return SparsePoly.sum_of_products([(scale, matrix[0][0] * det_sym, det_poly(anti))])
 
 

@@ -434,8 +434,9 @@ class TestClosedPipe:
 
 
 class TestConsoleScript:
-    """Both ways of running the command line, each in a fresh interpreter
-    that imports this checkout's package: ``python -m gracelab`` and the
+    """Every way of running the command line, each in a fresh interpreter
+    that imports this checkout's package: ``python -m gracelab``,
+    ``python -m gracelab.cli`` (the launcher bench/run.py times), and the
     ``[project.scripts]`` target that an install turns into ``gracelab``."""
 
     def test_installed_entry_point(self):
@@ -445,6 +446,7 @@ class TestConsoleScript:
         module, _, function = target.partition(":")
         launchers = [
             [sys.executable, "-m", "gracelab"],
+            [sys.executable, "-m", "gracelab.cli"],
             [
                 sys.executable,
                 "-c",

@@ -19,6 +19,7 @@ from gracelab.digraph import (
     relabel,
     tree_folds,
 )
+from gracelab import digraph
 from gracelab.digraph import _conjugate, _labelings, _labels_are_graceful
 
 
@@ -214,6 +215,41 @@ class TestGrlSet:
         for values in all_value_tables(4):
             for m in grl_set(FunctionalDigraph(values)):
                 assert is_gracefully_labeled(m)
+
+
+class TestHitsAreReadBack:
+    """A hit of the labeling search counts only after its conjugate table
+    reads back gracefully labeled, so a search that first yields a sigma
+    whose conjugate is not gracefully labeled changes no answer."""
+
+    @pytest.fixture
+    def bogus_first(self, monkeypatch):
+        real = digraph._labelings
+
+        def patch(sigma):
+            def labelings(values, need):
+                yield sigma
+                yield from real(values, need)
+
+            monkeypatch.setattr(digraph, "_labelings", labelings)
+
+        return patch
+
+    def test_is_graceful_on_the_three_cycle(self, bogus_first):
+        # the identity keeps 3:1,2,0, whose labels are 1,1,2
+        bogus_first((0, 1, 2))
+        assert not is_graceful(D(1, 2, 0))
+
+    def test_grl_set_of_the_five_star(self, bogus_first):
+        # sigma(0) = 2 gives 5:2,2,2,2,2, whose labels are 2,1,0,1,2
+        bogus_first((2, 0, 1, 3, 4))
+        members = [m.format() for m in grl_set(D(0, 0, 0, 0, 0))]
+        assert members == ["5:0,0,0,0,0", "5:4,4,4,4,4"]
+
+    def test_first_conjugators_of_the_five_star(self, bogus_first):
+        bogus_first((2, 0, 1, 3, 4))
+        tables = set(digraph._first_conjugators((0, 0, 0, 0, 0)))
+        assert tables == {(0, 0, 0, 0, 0), (4, 4, 4, 4, 4)}
 
 
 def scan_conjugates(values):
