@@ -10,7 +10,6 @@ negative --limit or --seed).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Sequence
@@ -96,13 +95,18 @@ def _terms_field(poly: SparsePoly) -> _Rendered:
 
 
 def _document(doc: dict) -> str:
-    """json.dumps(doc, indent=2), with each _Rendered field written as it is."""
-    fields = []
+    """json.dumps(doc, indent=2) and a newline, with each _Rendered field
+    written as it is, in one join so a large field is copied once."""
+    import json  # only structured output loads it
+
+    pieces = []
     for key, value in doc.items():
         if not isinstance(value, _Rendered):
             value = json.dumps(value, indent=2).replace("\n", "\n  ")
-        fields.append(f"  {json.dumps(key)}: {value}")
-    return "{\n" + ",\n".join(fields) + "\n}"
+        pieces += (",\n  ", json.dumps(key), ": ", value)
+    pieces[0] = "{\n  "  # no comma before the first field
+    pieces.append("\n}\n")
+    return "".join(pieces)
 
 
 def _bool(flag: bool) -> str:
@@ -434,13 +438,24 @@ def _cmd_conjecture(args) -> tuple[bool, dict | list[str]]:
     return ok, lines
 
 
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser: it reports its own leftover arguments, so the
+    error shows the subcommand's usage line, as its other errors do."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gracelab",
         description="enumerate, count, and verify graceful labelings of "
         "functional digraphs",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
 
     def option(flag: str, **spec) -> argparse.ArgumentParser:
         shared = argparse.ArgumentParser(add_help=False)
@@ -518,8 +533,9 @@ def _execute(argv: Sequence[str]) -> tuple[int, str]:
         return 2, ""
     code = 0 if ok else 1
     if args.format == "structured":
-        return code, _document({"command": args.command, **out}) + "\n"
-    return code, "\n".join(out) + "\n" if out else ""
+        return code, _document({"command": args.command, **out})
+    out.append("")  # the final newline, joined with the rest in one copy
+    return code, "\n".join(out)
 
 
 def _write(text: str) -> None:
@@ -535,18 +551,23 @@ def run(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
+    """Run the command line, write its output and end the process.
+
+    Once the output is flushed the process ends with os._exit, as mypy's
+    util.hard_exit does: the interpreter's teardown would only free every
+    module and object after the output is already written.
+    """
     code, text = _execute(sys.argv[1:])
     try:
         _write(text)
         sys.stdout.flush()
     except BrokenPipeError:
-        # The reader closed the pipe (``gracelab gammas --n 12 | head -1``).
-        # As the Python signal docs recommend, point stdout at devnull so the
-        # flush at interpreter exit cannot fail again; the exit status stays
-        # the command's own.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-    sys.exit(code)
+        # The reader closed the pipe (``gracelab gammas --n 12 | head -1``):
+        # the rest of the output is dropped, and the exit status stays the
+        # command's own.  Nothing flushes stdout again after this.
+        pass
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -102,15 +102,13 @@ def compute_F_bruteforce(n: int) -> SparsePoly:
     product over rows visits every function once, and the sum of its
     choice is that function's exponent.  The rows are split at n // 2:
     each head sum (a choice of f(0), ..., f(n//2 - 1)) is added to every
-    tail sum, one addition per function.
+    tail sum, one addition per function, and one Counter counts all n^n
+    exponents as they come.
     """
     rows = _label_powers(n, n + 1)
     heads = map(sum, itertools.product(*rows[: n // 2]))
-    tails = list(map(sum, itertools.product(*rows[n // 2 :])))
-    counts: Counter[int] = Counter()
-    for head in heads:
-        counts.update(map(head.__add__, tails))
-    return SparsePoly(counts)
+    tails = map(sum, itertools.product(*rows[n // 2 :]))
+    return SparsePoly(Counter(itertools.starmap(add, itertools.product(heads, tails))))
 
 
 def encode_sequence(labels: Sequence[int], base: int) -> int:

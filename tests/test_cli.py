@@ -115,13 +115,13 @@ class TestTermRenderers:
         for poly in self.polys():
             doc = {"n": 5, "terms": poly.to_pairs(), "status": "pass"}
             spliced = {**doc, "terms": _terms_field(poly)}
-            assert _document(spliced) == json.dumps(doc, indent=2)
+            assert _document(spliced) == json.dumps(doc, indent=2) + "\n"
 
     def test_document_writes_nested_fields_as_json_dumps(self):
         from gracelab.cli import _document
 
         doc = {"a": [], "b": {}, "c": [{"x": [1, [2]], "y": None}], "d": "\n\"", "e": 1.5}
-        assert _document(doc) == json.dumps(doc, indent=2)
+        assert _document(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 class TestGenfun:
@@ -463,3 +463,92 @@ class TestConsoleScript:
             )
             assert result.returncode == 0, result.stderr
             assert result.stdout == "0,1,1,2,2,3\n"
+
+
+class TestHardExit:
+    """cli.main writes and flushes the output, then ends the process with
+    os._exit, so no interpreter teardown runs and nothing is flushed at
+    exit.  Every launcher must still deliver cli.run's output whole, to a
+    file and to a pipe, with the command's own exit status."""
+
+    LAUNCHERS = [["-m", "gracelab"], ["-m", "gracelab.cli"]]
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def spawn(self, launcher, argv, stdout=subprocess.PIPE):
+        # stdout buffered, as a plain shell starts it, so that a missing
+        # flush before os._exit would lose the buffered tail
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env.update(PYTHONPATH=str(self.ROOT / "src"), COLUMNS="80")
+        return subprocess.run(
+            [sys.executable, *launcher, *argv],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+
+    def check(self, capsys, tmp_path, launcher, argv, code):
+        try:
+            expected_code = run(list(argv))
+        except SystemExit as stop:  # argparse usage errors
+            expected_code = stop.code
+        expected = capsys.readouterr()
+        assert expected_code == code
+        piped = self.spawn(launcher, argv)
+        path = tmp_path / "out"
+        with open(path, "wb") as fh:
+            to_file = self.spawn(launcher, argv, stdout=fh)
+        for done, out in ((piped, piped.stdout), (to_file, path.read_bytes())):
+            assert done.returncode == code
+            assert out == expected.out.encode()
+            assert done.stderr == expected.err.encode()
+        return expected.out
+
+    @pytest.mark.parametrize("launcher", LAUNCHERS, ids=lambda launcher: launcher[1])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gammas", "--n", "12"),
+            ("genfun", "--which", "p", "--n", "10", "--format", "structured"),
+        ],
+        ids=" ".join,
+    )
+    def test_large_output_arrives_whole(self, capsys, tmp_path, launcher, argv):
+        out = self.check(capsys, tmp_path, launcher, argv, 0)
+        assert len(out) > 2**17  # more than a pipe holds, many write buffers
+
+    @pytest.mark.parametrize("launcher", LAUNCHERS, ids=lambda launcher: launcher[1])
+    def test_failed_identity_exits_one(self, capsys, tmp_path, launcher):
+        argv = ("neighbors", "--graph", "6:0,0,0,0,0,0", "--oracle")
+        out = self.check(capsys, tmp_path, launcher, argv, 1)
+        assert out.endswith("\ncomplete: false\n")
+
+    @pytest.mark.parametrize("launcher", LAUNCHERS, ids=lambda launcher: launcher[1])
+    @pytest.mark.parametrize(
+        "argv", [("gammas", "--n", "14"), ("tau", "--n", "3", "--bogus")], ids=" ".join
+    )
+    def test_usage_error_exits_two(self, capsys, tmp_path, launcher, argv):
+        assert self.check(capsys, tmp_path, launcher, argv, 2) == ""
+
+    def test_json_is_loaded_only_for_structured_output(self):
+        # a fresh isolated interpreter, so that nothing pytest imported counts
+        code = (
+            f"import sys; sys.path.insert(0, {str(self.ROOT / 'src')!r}); "
+            "from gracelab.cli import run; print('json' in sys.modules); "
+            "run(['labels', '--graph', '6:0,0,0,0,3,3']); "
+            "print('json' in sys.modules); "
+            "run(['labels', '--graph', '6:0,0,0,0,3,3', '--format', 'structured'])"
+        )
+        done = subprocess.run(
+            [sys.executable, "-I", "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        doc = {
+            "command": "labels",
+            "graph": "6:0,0,0,0,3,3",
+            "labels": [0, 1, 1, 2, 2, 3],
+        }
+        structured = json.dumps(doc, indent=2) + "\n"
+        assert done.stdout == "False\n0,1,1,2,2,3\nFalse\n" + structured
