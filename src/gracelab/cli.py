@@ -171,9 +171,11 @@ def _cmd_gammas(args) -> tuple[bool, dict | list[str]]:
     count = expansion_mod.count_valid_gammas(n)
     agree = len(gammas) == count
     if args.format == "structured":
+        # written as its indent-2 JSON list: the strings hold only digits
+        # and commas, so none needs escaping; n >= 2 lists at least one
         return agree, {
             "n": n,
-            "gammas": gammas,
+            "gammas": _Rendered('[\n    "' + '",\n    "'.join(gammas) + '"\n  ]'),
             "enumerated": len(gammas),
             "formula": count,
             "status": "pass" if agree else "fail",

@@ -24,14 +24,11 @@ from typing import Iterator, NamedTuple, Sequence
 
 from gracelab.digraph import (
     FunctionalDigraph,
-    Permutation,
-    _labelings,
+    _hits,
     _structure,
     conjugate_tables,
-    edge_labels,
     functional_trees,
     is_functional_tree,
-    relabel,
 )
 
 __all__ = [
@@ -185,8 +182,9 @@ def realizes(g: FunctionalDigraph, target: Sequence[int]) -> bool:
 
     The labeling search of gracelab.digraph, with the label counts of the
     target, stops at its first witness; it finds none unless the target has
-    exactly one 0, the root's loop.  The witness counts only after the
-    conjugated table's edge labels are read off and compared.
+    exactly one 0, the root's loop.  The witness counts only after
+    digraph._hits reads the conjugated table's edge labels back and
+    compares them.
     """
     if not is_functional_tree(g):
         raise ValueError("realizes needs a functional tree")
@@ -197,10 +195,7 @@ def realizes(g: FunctionalDigraph, target: Sequence[int]) -> bool:
     need = [0] * n
     for label in target:
         need[label] += 1
-    return any(
-        edge_labels(relabel(g, Permutation(sigma))) == target
-        for sigma in _labelings(g.values, need)
-    )
+    return next(_hits(g.values, need), None) is not None
 
 
 class ConjectureReport(NamedTuple):

@@ -532,12 +532,20 @@ def _least_conjugator(
     return tuple(out)
 
 
-def _graceful_hits(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Each sigma of the labeling search, with one edge of each label as its
-    target, whose conjugate table sigma f sigma^(-1) reads back gracefully
-    labeled; a hit that does not is dropped."""
-    hits = _labelings(values, [1] * len(values))
-    return (s for s in hits if _labels_are_graceful(_conjugate(values, s)))
+def _hits(
+    values: tuple[int, ...], need: Sequence[int]
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(sigma f sigma^(-1), sigma) for each sigma of the labeling search
+    with the label counts need as its target, conjugated once and read
+    back: a hit whose table's sorted edge labels are not the target is
+    dropped, and a sigma that is not a permutation of Z_n raises
+    ValueError."""
+    target = [label for label, count in enumerate(need) for _ in range(count)]
+    for sigma in _labelings(values, need):
+        Permutation(sigma)  # raises ValueError unless sigma permutes Z_n
+        table = _conjugate(values, sigma)
+        if sorted(abs(v - i) for i, v in enumerate(table)) == target:
+            yield table, sigma
 
 
 def _first_conjugators(
@@ -547,15 +555,15 @@ def _first_conjugators(
     lexicographically least sigma with sigma f sigma^(-1) == table."""
     code = _structure(values)[2]
     reached: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for s in _graceful_hits(values):
-        reached.setdefault(_conjugate(values, s), s)
+    for t, s in _hits(values, [1] * len(values)):
+        reached.setdefault(t, s)
     return {t: _least_conjugator(values, t, s, code) for t, s in reached.items()}
 
 
 def is_graceful(g: FunctionalDigraph) -> bool:
     """True iff some relabeling of g is gracefully labeled; the labeling
     search stops at its first hit that reads back gracefully labeled."""
-    return next(_graceful_hits(g.values), None) is not None
+    return next(_hits(g.values, [1] * g.n), None) is not None
 
 
 def grl_set(g: FunctionalDigraph) -> list[FunctionalDigraph]:
@@ -564,7 +572,7 @@ def grl_set(g: FunctionalDigraph) -> list[FunctionalDigraph]:
     The labeling search may reach one table from several sigma (automorphisms
     other than twin swaps); the set keeps each once.
     """
-    found = {_conjugate(g.values, s) for s in _graceful_hits(g.values)}
+    found = {t for t, _ in _hits(g.values, [1] * g.n)}
     return [FunctionalDigraph(t) for t in sorted(found)]
 
 

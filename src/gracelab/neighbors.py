@@ -1,12 +1,12 @@
 """Edit-distance-one graceful neighbors via single sign flips.
 
-Every gracefully labeled conjugate of a base digraph decomposes as
-id + (-1)^p * gamma; flipping one bit of p (when the flipped step stays in
-range) yields another gracefully labeled digraph that differs from that
-conjugate in at most one image, hence sits at edge edit distance at most one
-from the base.  The brute-force oracle enumerates conjugates directly and
-patches one value at a time, so the completeness of the flip generator is
-measured, never assumed.
+Every gracefully labeled conjugate f of a base digraph decomposes as
+id + (-1)^p * gamma; flipping bit j of p moves f(j) to 2j - f(j), and when
+that stays in [0, n) it yields another gracefully labeled digraph that
+differs from f in at most one image, hence sits at edge edit distance at
+most one from the base.  The brute-force oracle enumerates conjugates
+directly and patches one value at a time, so the completeness of the flip
+generator is measured, never assumed.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "expansion_family",
     "neighbors_bruteforce",
     "neighbors_via_expansion",
-    "single_sign_flip",
 ]
 
 
@@ -80,32 +79,22 @@ def expansion_family(base: FunctionalDigraph) -> ExpansionFamily:
     return ExpansionFamily(base, tuple(members))
 
 
-def single_sign_flip(e: GracefulExpansion, j: int) -> GracefulExpansion | None:
-    """Flip bit j of p; returns None when the flipped step leaves [0, n)."""
-    n = e.n
-    if not 0 <= j < n:
-        raise ValueError(f"flip index {j} outside [0, {n})")
-    flipped = (1 + e.p[j]) % 2
-    step = e.gamma.values[j]
-    t = j - step if flipped else j + step
-    if not 0 <= t < n:
-        return None
-    p = e.p[:j] + (flipped,) + e.p[j + 1 :]
-    return GracefulExpansion(e.sigma, e.gamma, p)
-
-
 def neighbors_via_expansion(fam: ExpansionFamily) -> list[FunctionalDigraph]:
     """All digraphs id + (-1)^p' * gamma over valid single flips, deduplicated
-    and sorted; flips that reproduce a conjugate of the base stay in."""
+    and sorted; flips that reproduce a conjugate of the base stay in.
+
+    Each member's table is t(j) = j + (-1)^p(j) * gamma(j); flipping bit j
+    of p moves t(j) to 2j - t(j), and the flip is valid when that stays in
+    [0, n)."""
     n = fam.base.n
-    identity = Permutation.identity(n)
     found: set[tuple[int, ...]] = set()
     for gamma, _sigma, p in fam.members:
-        e = GracefulExpansion(identity, gamma, p)
-        for j in range(n):
-            flipped = single_sign_flip(e, j)
-            if flipped is not None:
-                found.add(expand(flipped).values)
+        t = [j - g if bit else j + g for j, g, bit in zip(range(n), gamma.values, p)]
+        for j, v in enumerate(t):
+            if 0 <= 2 * j - v < n:
+                t[j] = 2 * j - v
+                found.add(tuple(t))
+                t[j] = v
     return [FunctionalDigraph(t) for t in sorted(found)]
 
 
@@ -155,13 +144,10 @@ def completeness_check(fam: ExpansionFamily) -> NeighborReport:
     """
     generated = neighbors_via_expansion(fam)
     oracle = neighbors_bruteforce(fam.base)
-    generated_set = {g.values for g in generated}
-    oracle_set = {g.values for g in oracle}
-    missing = [FunctionalDigraph(t) for t in sorted(oracle_set - generated_set)]
-    extra = [FunctionalDigraph(t) for t in sorted(generated_set - oracle_set)]
+    generated_set, oracle_set = set(generated), set(oracle)
     return NeighborReport(
         generated=tuple(generated),
         oracle=tuple(oracle),
-        missing=tuple(missing),
-        extra=tuple(extra),
+        missing=tuple(g for g in oracle if g not in generated_set),
+        extra=tuple(g for g in generated if g not in oracle_set),
     )

@@ -123,6 +123,18 @@ class TestTermRenderers:
         doc = {"a": [], "b": {}, "c": [{"x": [1, [2]], "y": None}], "d": "\n\"", "e": 1.5}
         assert _document(doc) == json.dumps(doc, indent=2) + "\n"
 
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_gammas_field(self, n):
+        from argparse import Namespace
+
+        from gracelab.cli import _cmd_gammas, _document
+        from gracelab.expansion import valid_gamma_tuples
+
+        agree, doc = _cmd_gammas(Namespace(n=n, format="structured", limit=None))
+        gammas = [",".join(map(str, g)) for g in valid_gamma_tuples(n)]
+        plain = {**doc, "gammas": gammas}
+        assert agree and _document(doc) == json.dumps(plain, indent=2) + "\n"
+
 
 class TestGenfun:
     def test_p3_with_oracle(self, capsys):

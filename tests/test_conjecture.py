@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from gracelab import conjecture
+from gracelab import conjecture, digraph
 from gracelab.conjecture import (
     TreeClass,
     _orbit,
@@ -203,7 +203,7 @@ class TestRealizes:
         g = FunctionalDigraph((0, 0, 0))
         assert realizes(g, (0, 1, 2))
         monkeypatch.setattr(
-            conjecture, "_labelings", lambda values, need: iter([(1, 0, 2)])
+            digraph, "_labelings", lambda values, need: iter([(1, 0, 2)])
         )
         # centre labeled 1: the conjugate 3:1,1,1 has labels 0,1,1
         assert not realizes(g, (0, 1, 2))

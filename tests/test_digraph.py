@@ -20,6 +20,7 @@ from gracelab.digraph import (
     tree_folds,
 )
 from gracelab import digraph
+from gracelab.conjecture import realizes
 from gracelab.digraph import _conjugate, _labelings, _labels_are_graceful
 
 
@@ -218,9 +219,12 @@ class TestGrlSet:
 
 
 class TestHitsAreReadBack:
-    """A hit of the labeling search counts only after its conjugate table
-    reads back gracefully labeled, so a search that first yields a sigma
-    whose conjugate is not gracefully labeled changes no answer."""
+    """One read-back, digraph._hits, serves is_graceful, grl_set,
+    _first_conjugators and conjecture.realizes.  A hit of the labeling
+    search counts only after its conjugate table reads back gracefully
+    labeled, so a search that first yields a sigma whose conjugate is not
+    gracefully labeled changes no answer; a sigma that is not a
+    permutation raises; and each hit is conjugated once."""
 
     @pytest.fixture
     def bogus_first(self, monkeypatch):
@@ -250,6 +254,42 @@ class TestHitsAreReadBack:
         bogus_first((2, 0, 1, 3, 4))
         tables = set(digraph._first_conjugators((0, 0, 0, 0, 0)))
         assert tables == {(0, 0, 0, 0, 0), (4, 4, 4, 4, 4)}
+
+    @pytest.mark.parametrize(
+        "consumer",
+        [
+            is_graceful,
+            grl_set,
+            lambda g: digraph._first_conjugators(g.values),
+            lambda g: realizes(g, range(g.n)),
+        ],
+        ids=["is_graceful", "grl_set", "_first_conjugators", "realizes"],
+    )
+    def test_a_non_permutation_raises(self, bogus_first, consumer):
+        # conjugating the 5-star by the constant 0 writes 5:0,0,0,0,0, which
+        # reads back gracefully labeled, so only the permutation check stops it
+        bogus_first((0, 0, 0, 0, 0))
+        with pytest.raises(ValueError, match="not a permutation of Z_5"):
+            consumer(D(0, 0, 0, 0, 0))
+
+    @pytest.mark.parametrize("text", ["5:0,0,0,0,0", "7:0,0,0,1,2,4,5", "6:0,0,1,1,2,2"])
+    def test_grl_set_conjugates_each_hit_once(self, monkeypatch, text):
+        real_labelings, real_conjugate = digraph._labelings, digraph._conjugate
+        counts = {"hits": 0, "conjugations": 0}
+
+        def labelings(values, need):
+            for sigma in real_labelings(values, need):
+                counts["hits"] += 1
+                yield sigma
+
+        def conjugate(values, sigma):
+            counts["conjugations"] += 1
+            return real_conjugate(values, sigma)
+
+        monkeypatch.setattr(digraph, "_labelings", labelings)
+        monkeypatch.setattr(digraph, "_conjugate", conjugate)
+        assert grl_set(FunctionalDigraph.parse(text))
+        assert counts["conjugations"] == counts["hits"] > 0
 
 
 def scan_conjugates(values):

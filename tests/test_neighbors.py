@@ -6,17 +6,17 @@ from gracelab.digraph import (
     FunctionalDigraph,
     Permutation,
     functional_trees,
+    graceful_tables,
     is_gracefully_labeled,
     relabel,
 )
-from gracelab.expansion import GracefulExpansion, decompose
+from gracelab.expansion import GracefulExpansion, decompose, expand
 from gracelab.neighbors import (
     completeness_check,
     edit_distance_at_most,
     expansion_family,
     neighbors_bruteforce,
     neighbors_via_expansion,
-    single_sign_flip,
 )
 
 
@@ -24,33 +24,52 @@ def star(n):
     return FunctionalDigraph((0,) * n)
 
 
-def identity_expansion(gamma, p):
-    n = len(p)
-    return GracefulExpansion(Permutation.identity(n), Permutation(tuple(gamma)), tuple(p))
+def flip_by_definition(gamma, p, j):
+    """The single sign flip from its definition: expand id + (-1)^p' * gamma
+    with bit j of p flipped, or None when that expansion leaves Z_n."""
+    flipped = p[:j] + (1 - p[j],) + p[j + 1 :]
+    try:
+        return expand(GracefulExpansion(Permutation.identity(len(p)), gamma, flipped))
+    except ValueError:
+        return None
 
 
-class TestSingleSignFlip:
-    def test_valid_flip(self):
-        e = identity_expansion(range(5), (0, 1, 1, 1, 1))
-        flipped = single_sign_flip(e, 1)
-        assert flipped is not None
-        assert flipped.p == (0, 0, 1, 1, 1)
+def neighbors_by_definition(fam):
+    found = set()
+    for gamma, _sigma, p in fam.members:
+        for j in range(len(p)):
+            g = flip_by_definition(gamma, p, j)
+            if g is not None:
+                found.add(g)
+    return sorted(found)
 
-    def test_rejected_flip(self):
-        e = identity_expansion(range(5), (0, 1, 1, 1, 1))
-        assert single_sign_flip(e, 4) is None  # 4 + 4 leaves [0, 5)
 
-    def test_flip_is_an_involution(self):
-        e = identity_expansion(range(5), (0, 1, 1, 1, 1))
-        for j in range(5):
-            once = single_sign_flip(e, j)
-            if once is not None:
-                assert single_sign_flip(once, j) == e
+class TestFlipsAgainstTheDefinition:
+    """neighbors_via_expansion, which moves f(j) to 2j - f(j) in each
+    member's table, against flips made by expand on the flipped bit."""
 
-    def test_bad_index(self):
-        e = identity_expansion(range(3), (0, 1, 1))
-        with pytest.raises(ValueError):
-            single_sign_flip(e, 3)
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_table(self, n):
+        for values in itertools.product(range(n), repeat=n):
+            fam = expansion_family(FunctionalDigraph(values))
+            assert neighbors_via_expansion(fam) == neighbors_by_definition(fam)
+
+    def test_every_member_on_six_vertices(self):
+        # A member is fixed by its gracefully labeled table H, and the family
+        # of H itself holds H for gamma = |H - id| (sigma = id comes first),
+        # so these families hold every member any base on Z_6 can have.
+        members = set()
+        for values in graceful_tables(6):
+            fam = expansion_family(FunctionalDigraph(values))
+            members.update((gamma, p) for gamma, _sigma, p in fam.members)
+            assert neighbors_via_expansion(fam) == neighbors_by_definition(fam)
+        assert len(members) == 392
+
+    @pytest.mark.parametrize("text", ["10:8,4,2,0,5,2,8,9,2,6", "10:0,0,0,0,0,0,0,0,0,0"])
+    def test_ten_vertices(self, text):
+        fam = expansion_family(FunctionalDigraph.parse(text))
+        assert fam.members
+        assert neighbors_via_expansion(fam) == neighbors_by_definition(fam)
 
 
 class TestExpansionFamily:
@@ -65,8 +84,6 @@ class TestExpansionFamily:
         # validated by the dataclass itself; re-check one member explicitly
         fam = expansion_family(star(4))
         gamma, sigma, p = fam.members[0]
-        from gracelab.expansion import expand
-
         assert expand(GracefulExpansion(sigma, gamma, p)) == star(4)
 
     def test_non_graceful_base_has_empty_family(self):
@@ -203,14 +220,11 @@ class TestNeighborsViaExpansion:
         fam = expansion_family(star(n))
         identity = Permutation.identity(n)
         for gamma, _sigma, p in fam.members:
-            e = GracefulExpansion(identity, gamma, p)
-            from gracelab.expansion import expand
-
-            base_digraph = expand(e)
+            base_digraph = expand(GracefulExpansion(identity, gamma, p))
             changing = 0
             for j in range(n):
-                flipped = single_sign_flip(e, j)
-                if flipped is not None and expand(flipped) != base_digraph:
+                flipped = flip_by_definition(gamma, p, j)
+                if flipped is not None and flipped != base_digraph:
                     changing += 1
             assert changing <= n // 2  # ceil((n-1)/2)
 
