@@ -7,33 +7,9 @@ generators, exact sparse generating functions for label sequences, the
 directed matrix tree theorem, Whitty's determinantal identity, an
 edit-distance-one neighbor generator, and exhaustive small-n conjecture
 sweeps.  Every nontrivial identity ships with an independent brute-force
-oracle at desk scale.
+oracle at desk scale.  Each name is imported from its defining module
+(``gracelab.digraph``, ``gracelab.whitty``, ...); the package exports only
+``__version__``.
 """
-
-from gracelab.digraph import (
-    FunctionalDigraph,
-    Permutation,
-    complement,
-    edge_labels,
-    grl_set,
-    is_graceful,
-    is_gracefully_labeled,
-    is_functional_tree,
-    relabel,
-)
-from gracelab.expansion import (
-    GracefulExpansion,
-    SignedPermutation,
-    count_valid_gammas,
-    decompose,
-    enumerate_sp,
-    enumerate_valid_gammas,
-    expand,
-    is_valid_gamma,
-    sp_sum_identity_check,
-    tau_bounds,
-    tau_bruteforce,
-)
-from gracelab.polyring import SparsePoly
 
 __version__ = "0.1.0"

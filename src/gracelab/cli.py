@@ -89,7 +89,7 @@ class _Rendered(str):
 
 
 def _terms_field(poly: SparsePoly) -> _Rendered:
-    if poly.is_zero():
+    if not poly:
         return _Rendered("[]")
     return _Rendered("[\n" + ",\n".join(map(_TERM_ROW.__mod__, poly.items())) + "\n  ]")
 

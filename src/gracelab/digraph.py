@@ -54,15 +54,6 @@ class Permutation(namedtuple("Permutation", "values")):
     def identity(cls, n: int) -> "Permutation":
         return cls(tuple(range(n)))
 
-    @classmethod
-    def parse(cls, text: str) -> "Permutation":
-        """Parse the comma-separated image list, e.g. ``0,2,1``."""
-        try:
-            values = tuple(int(part) for part in text.split(","))
-        except ValueError:
-            raise ValueError(f"malformed permutation text: {text!r}") from None
-        return cls(values)
-
     def format(self) -> str:
         return ",".join(map(str, self.values))
 
@@ -328,8 +319,16 @@ def conjugate_tables(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 # - label 0 comes from loops only, so the search needs exactly one loop
 #   and a target with exactly one 0;
 # - twins, off-cycle siblings whose in-subtrees have the same shape, take
-#   increasing sigma values: swapping two twin subtrees is an automorphism
-#   of f, so every distinct conjugate table is still reached;
+#   sigma values that run toward their parent's: decreasing below a parent
+#   in the lower half of the labels, increasing below one in the upper
+#   half.  The first twin takes the label farthest from its parent's, so
+#   the next has room between them.  With one fixed direction the first
+#   twin below a parent in one half leaves no room for the next, and a
+#   first hit on a star takes exponential time: rooted at its centre for
+#   increasing twins, at a leaf for decreasing ones.  Swapping two twin
+#   subtrees is an automorphism of f that keeps the parent's sigma, so,
+#   fixed from the cycles down, every distinct conjugate table is still
+#   reached;
 # - a partial sigma is dropped when some label L still needed has no pair
 #   of labels x, x + L left that an unplaced edge could join;
 # - sigma and n-1-sigma give the same edge labels, and twin swaps fix the
@@ -446,16 +445,21 @@ def _labelings(
                     p = o | 1 << a if opens else o
                     yield from place(k + 1, free ^ 1 << a, needed, p)
             return
-        prev = twin[v]
-        lo = sigma[prev] if prev >= 0 else -1
         b = sigma[ps[0]]
+        prev = twin[v]
+        lo, hi = -1, n
+        if prev >= 0:  # twins run toward their parent's label b
+            if 2 * b < n:
+                hi = sigma[prev]
+            else:
+                lo = sigma[prev]
         w = ps[1] if len(ps) > 1 else -1  # the other end of the edge closing a cycle
         rest = needed
         while rest:  # largest needed label first
             label = rest.bit_length() - 1
             rest ^= 1 << label
             for a in (b - label, b + label):
-                if not (lo < a < n and free >> a & 1):
+                if not (lo < a < hi and free >> a & 1):
                     continue
                 c = abs(a - sigma[w]) if w >= 0 else 0  # that edge's label
                 if c and left[c] <= (c == label):

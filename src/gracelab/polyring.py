@@ -51,8 +51,6 @@ class SparsePoly:
     @classmethod
     def monomial(cls, exponent: int, coefficient: int = 1) -> "SparsePoly":
         """The polynomial coefficient * x^exponent."""
-        if exponent < 0:
-            raise ValueError(f"negative exponent: {exponent}")
         return cls({exponent: coefficient})
 
     def items(self) -> list[tuple[int, int]]:
@@ -78,9 +76,6 @@ class SparsePoly:
         if not self._terms:
             raise ValueError("the zero polynomial has no degree")
         return max(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -149,13 +144,9 @@ class SparsePoly:
         return cls._wrap({e: c for e, c in out.items() if c})
 
     def to_pairs(self) -> list[list[str]]:
-        """Golden-file form: [exponent, coefficient] decimal-string pairs,
-        ascending exponent."""
+        """[exponent, coefficient] decimal-string pairs, ascending exponent:
+        the JSON form the CLI writes for a polynomial's terms."""
         return [[str(e), str(c)] for e, c in self.items()]
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Iterable[str]]) -> "SparsePoly":
-        return cls((int(e), int(c)) for e, c in pairs)
 
     def __repr__(self) -> str:
         if not self._terms:

@@ -34,11 +34,11 @@ from gracelab.genfun import _in_entry_ring, det_via_minor_expansion
 from gracelab.polyring import SparsePoly
 
 __all__ = [
+    "CALIBRATION",
     "Calibration",
     "WhittyCheck",
     "WhittyMatrices",
     "build_whitty",
-    "calibration",
     "sign_factor",
     "symbolic_matrix",
     "tree_sign",
@@ -180,22 +180,21 @@ class Calibration(NamedTuple):
     rhs_sign_convention: str
 
 
-def calibration() -> Calibration:
-    """The conventions under which the two sides agree; the global sign is
-    fixed at +1, never fitted."""
-    return Calibration(
-        epsilon=1,
-        minor_convention="drop row and column 0 of the 0-indexed build",
-        column_order=(
-            "minor columns reread in ascending edge-label order "
-            "(printed column j carries label n-j), i.e. the printed "
-            "determinant times (-1)^floor((n-1)/2)"
-        ),
-        rhs_sign_convention=(
-            "sign_factor(f) * (-1)^#descents per tree; the plain "
-            "sign_factor reading is reported separately"
-        ),
-    )
+# The conventions under which the two sides agree; the global sign is
+# fixed at +1, never fitted.
+CALIBRATION = Calibration(
+    epsilon=1,
+    minor_convention="drop row and column 0 of the 0-indexed build",
+    column_order=(
+        "minor columns reread in ascending edge-label order "
+        "(printed column j carries label n-j), i.e. the printed "
+        "determinant times (-1)^floor((n-1)/2)"
+    ),
+    rhs_sign_convention=(
+        "sign_factor(f) * (-1)^#descents per tree; the plain "
+        "sign_factor reading is reported separately"
+    ),
+)
 
 
 class WhittyCheck(NamedTuple):
@@ -223,7 +222,7 @@ def whitty_check(matrix: Sequence[Sequence[T]]) -> WhittyCheck:
         lhs=lhs,
         rhs=rhs,
         equal_up_to_calibrated_sign=lhs * parity == rhs,
-        calibration=calibration(),
+        calibration=CALIBRATION,
         column_reversal_parity=parity,
         rhs_label_signature_reading=rhs_printed,
         label_signature_reading_agrees=lhs in (rhs_printed, -rhs_printed),

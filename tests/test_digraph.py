@@ -1,5 +1,8 @@
 import itertools
+import subprocess
+import sys
 from operator import add, mul
+from pathlib import Path
 
 import pytest
 
@@ -190,6 +193,68 @@ class TestIsGraceful:
             for values in all_value_tables(n):
                 g = FunctionalDigraph(values)
                 assert is_graceful(g) == bool(grl_set(g))
+
+
+def spider(legs, length):
+    """A loop at 0 and legs paths of length vertices, each hanging from 0."""
+    values = [0]
+    for _ in range(legs):
+        values.append(0)
+        values.extend(range(len(values) - 1, len(values) + length - 2))
+    return tuple(values)
+
+
+def rerooted(values, root):
+    """The same free tree with its loop moved to root: the edges on the path
+    from root to the old loop turn around."""
+    out = list(values)
+    prev, v = root, root
+    while True:
+        out[v], nxt = prev, values[v]
+        if nxt == v:
+            return tuple(out)
+        prev, v = v, nxt
+
+
+class TestFirstHit:
+    """is_graceful stops at the search's first hit, so on trees with many
+    twins (sibling subtrees of one shape) the twin order decides whether
+    that hit comes at once or after an exponential walk.  Twins below a
+    parent in the lower half of the labels and twins below one in the upper
+    half need opposite orders: a star or spider rooted at its centre has
+    the first kind, rooted at a leaf the second.  Each run is a fresh
+    process with a deadline, so a regression fails instead of hanging the
+    suite."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [(0,) * 24, rerooted((0,) * 28, 1), spider(6, 3), rerooted(spider(8, 3), 3)],
+        ids=["star-24", "star-28-at-a-leaf", "spider-6x3", "spider-8x3-at-a-leg-end"],
+    )
+    def test_first_hit_is_fast(self, values):
+        src = Path(digraph.__file__).resolve().parents[1]
+        code = (
+            f"import sys; sys.path.insert(0, {str(src)!r}); "
+            "from gracelab.digraph import FunctionalDigraph, is_graceful; "
+            f"print(is_graceful(FunctionalDigraph({values!r})))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-I", "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "True\n", "")
+
+    def test_the_shapes(self):
+        spider_6x3 = D(*spider(6, 3))
+        assert spider_6x3.n == 19 and is_functional_tree(spider_6x3)
+        # the centre has six children, each the top of a path of 3
+        assert spider_6x3.values.count(0) == 7
+        assert all(spider_6x3.values.count(v) <= 1 for v in range(1, 19))
+        assert rerooted((0,) * 5, 1) == (1, 1, 0, 0, 0)
+        assert rerooted(spider(2, 2), 2) == (1, 2, 2, 0, 3)
+        assert rerooted(spider(8, 3), 3)[:4] == (1, 2, 3, 3)
 
 
 class TestGrlSet:
@@ -441,6 +506,5 @@ class TestPermutation:
             )
             assert Permutation(s).sign() == (-1) ** inversions
 
-    def test_parse_format(self):
-        assert Permutation.parse("0,2,1").values == (0, 2, 1)
+    def test_format(self):
         assert Permutation((0, 2, 1)).format() == "0,2,1"

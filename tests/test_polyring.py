@@ -56,17 +56,17 @@ class TestArithmetic:
 
     def test_subtraction_gives_zero(self):
         p = poly_of((4, 9), (1, -3))
-        assert (p - p).is_zero()
+        assert not p - p
 
     def test_scale(self):
         assert poly_of((2, 3)).scale(-2).items() == [(2, -6)]
-        assert poly_of((2, 3)).scale(0).is_zero()
+        assert not poly_of((2, 3)).scale(0)
 
     def test_int_scaling_on_either_side(self):
         p = poly_of((2, 3), (0, -1))
         assert (p * -2).items() == [(0, 2), (2, -6)]
         assert (-2 * p) == p * -2 == p.scale(-2)
-        assert (p * 0).is_zero() and (0 * p).is_zero()
+        assert not p * 0 and not 0 * p
 
     def test_int_scaling_leaves_the_operand_unchanged(self):
         p = poly_of((2, 3))
@@ -88,8 +88,8 @@ class TestArithmetic:
     def test_sum_of_products_drops_cancelled_terms(self):
         a, b = poly_of((1, 1), (0, 2)), poly_of((2, -1), (0, 1))
         got = SparsePoly.sum_of_products([(1, a, b), (-1, b, a)])
-        assert got.is_zero() and got.items() == []
-        assert SparsePoly.sum_of_products([]).is_zero()
+        assert not got and got.items() == []
+        assert not SparsePoly.sum_of_products([])
 
 
 class TestQueries:
@@ -144,7 +144,7 @@ class TestRingAxioms:
     def test_identities(self, p):
         assert p + SparsePoly.zero() == p
         assert p * SparsePoly.one() == p
-        assert (p + (-p)).is_zero()
+        assert not p + (-p)
 
     @given(small_polys, small_polys)
     @settings(max_examples=50)
@@ -156,11 +156,3 @@ class TestSerialization:
     def test_pairs_are_decimal_strings_ascending(self):
         p = poly_of((6, 1), (2, 1), (4, 2))
         assert p.to_pairs() == [["2", "1"], ["4", "2"], ["6", "1"]]
-
-    def test_round_trip(self):
-        p = poly_of((10**25, -3), (0, 7))
-        assert SparsePoly.from_pairs(p.to_pairs()) == p
-
-    @given(small_polys)
-    def test_round_trip_property(self, p):
-        assert SparsePoly.from_pairs(p.to_pairs()) == p

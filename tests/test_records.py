@@ -18,7 +18,7 @@ from gracelab.expansion import (
 from gracelab.genfun import check_P_properties
 from gracelab.neighbors import ExpansionFamily, completeness_check, expansion_family
 from gracelab.seeds import integer_matrix
-from gracelab.whitty import build_whitty, calibration, whitty_check
+from gracelab.whitty import CALIBRATION, build_whitty, whitty_check
 
 STAR4 = FunctionalDigraph((0, 0, 0, 0))
 ID3 = Permutation.identity(3)
@@ -35,7 +35,7 @@ RECORDS = {
     "PropertyReport": lambda: check_P_properties(4),
     "ClaimCheck": lambda: check_P_properties(4).checks[0],
     "WhittyMatrices": lambda: build_whitty(MATRIX),
-    "Calibration": calibration,
+    "Calibration": lambda: CALIBRATION,
     "WhittyCheck": lambda: whitty_check(MATRIX),
     "TreeClass": lambda: TreeClass(STAR4, 4),
     "ConjectureReport": lambda: check_conjecture_42(4),

@@ -12,8 +12,8 @@ from gracelab.digraph import (
 from gracelab.polyring import SparsePoly
 from gracelab.seeds import integer_matrix
 from gracelab.whitty import (
+    CALIBRATION,
     build_whitty,
-    calibration,
     sign_factor,
     symbolic_matrix,
     tree_sign,
@@ -236,20 +236,8 @@ class TestRhs:
 
 class TestWhittyCheck:
     def test_calibration_is_fixed_and_positive(self):
-        cal = calibration()
-        assert cal.epsilon == 1
-
-    def test_calibration_computes_neither_side(self, monkeypatch):
-        from gracelab import whitty
-
-        def fail(matrix):
-            raise AssertionError("calibration evaluated a side of the identity")
-
-        monkeypatch.setattr(whitty, "whitty_lhs", fail)
-        monkeypatch.setattr(whitty, "_signed_tree_sums", fail)
-        # a warm cache would hide a fit
-        getattr(whitty.calibration, "cache_clear", lambda: None)()
-        assert calibration().epsilon == 1
+        assert CALIBRATION.epsilon == 1
+        assert whitty_check(integer_entries(3)).calibration is CALIBRATION
 
     def test_negated_determinant_fails(self, monkeypatch, capsys):
         # epsilon is not fitted, so a globally negated determinant side
@@ -258,8 +246,6 @@ class TestWhittyCheck:
 
         det = whitty.det_via_minor_expansion
         monkeypatch.setattr(whitty, "det_via_minor_expansion", lambda m: -det(m))
-        # a warm cache would hide a refit
-        getattr(whitty.calibration, "cache_clear", lambda: None)()
         for n in range(2, 7):
             assert not whitty_check(symbolic_matrix(n)).equal_up_to_calibrated_sign
         capsys.readouterr()
