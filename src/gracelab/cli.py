@@ -310,7 +310,10 @@ def _cmd_props(args) -> tuple[bool, dict | list[str]]:
             "status": "pass" if ok else "fail",
         }
     return ok, [
-        f"{report.which}: {line}" for report in reports for line in report.to_text()
+        f"{r.which}: claim={c.claim} predicted={c.predicted} computed={c.computed} "
+        f"status={c.status}"
+        for r in reports
+        for c in r.checks
     ]
 
 
@@ -451,70 +454,87 @@ class _Subcommand(argparse.ArgumentParser):
         return namespace, extras
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# Each option's spec by name (its flag without the dashes), declared once;
+# every subcommand takes format.
+_OPTIONS = {
+    "format": {
+        "choices": ("text", "structured"),
+        "default": "text",
+        "help": "plain lines or a single JSON document",
+    },
+    "graph": {"required": True},
+    "n": {"type": int, "required": True},
+    "limit": {"type": int},
+    "seed": {"type": int, "default": 0},
+    "which": {"choices": ("f", "p"), "required": True},
+    "oracle": {"action": "store_true"},
+    "sequence": {"required": True, "help": "comma-separated labels"},
+    "symbolic": {"action": "store_true"},
+}
+
+# One row per subcommand: its handler, help text and options after format.
+# An option is a name from _OPTIONS, a (name, spec) pair where the spec
+# differs from that one, or a list of options that exclude each other.
+_SUBCOMMANDS = {
+    "labels": (_cmd_labels, "induced subtractive edge label sequence", ["graph"]),
+    "graceful": (
+        _cmd_graceful, "gracefully-labeled and graceful predicates", ["graph"]
+    ),
+    "grl": (_cmd_grl, "distinct gracefully labeled conjugates", ["graph", "limit"]),
+    "gammas": (
+        _cmd_gammas, "enumerate valid gammas and check the count", ["n", "limit"]
+    ),
+    "sp": (
+        _cmd_sp,
+        "signed permutations and the entry-product identity",
+        ["n", "seed", "limit"],
+    ),
+    "tau": (_cmd_tau, "bounds and brute-force count of tau_n", ["n"]),
+    "genfun": (
+        _cmd_genfun, "label-sequence generating function", ["which", "n", "oracle"]
+    ),
+    "coeff": (_cmd_coeff, "coefficient of one label sequence", ["which", "sequence"]),
+    "props": (
+        _cmd_props,
+        "structural property reports for F and P",
+        ["n", ("which", {"choices": ("f", "p")})],
+    ),
+    "tdmtt": (_cmd_tdmtt, "directed matrix tree theorem spot check", ["n", "seed"]),
+    "whitty": (
+        _cmd_whitty, "Whitty determinantal identity check", ["n", ["symbolic", "seed"]]
+    ),
+    "neighbors": (
+        _cmd_neighbors,
+        "edit-distance-one graceful neighbors",
+        ["graph", "oracle", "limit"],
+    ),
+    "conjecture": (_cmd_conjecture, "star-sequence inclusion sweep", ["n"]),
+}
+
+
+def _add_options(target, options) -> None:
+    for option in options:
+        if isinstance(option, list):
+            _add_options(target.add_mutually_exclusive_group(), option)
+        elif isinstance(option, str):
+            target.add_argument("--" + option, **_OPTIONS[option])
+        else:
+            target.add_argument("--" + option[0], **option[1])
+
+
+def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The top-level parser with the subparser of the subcommand argv names.
+    The top level's help and its errors list every subcommand, so when argv
+    names none, every subparser is built."""
     parser = argparse.ArgumentParser(
         prog="gracelab",
         description="enumerate, count, and verify graceful labelings of "
         "functional digraphs",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
-
-    def option(flag: str, **spec) -> argparse.ArgumentParser:
-        shared = argparse.ArgumentParser(add_help=False)
-        shared.add_argument(flag, **spec)
-        return shared
-
-    text_or_json = option(
-        "--format",
-        choices=("text", "structured"),
-        default="text",
-        help="plain lines or a single JSON document",
-    )
-    graph = option("--graph", required=True)
-    n = option("--n", type=int, required=True)
-    limit = option("--limit", type=int)
-    seed = option("--seed", type=int, default=0)
-    which = option("--which", choices=("f", "p"), required=True)
-    oracle = option("--oracle", action="store_true")
-
-    def add(name: str, handler, help_text: str, *options) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text, parents=[text_or_json, *options])
-        p.set_defaults(handler=handler)
-        return p
-
-    add("labels", _cmd_labels, "induced subtractive edge label sequence", graph)
-    add("graceful", _cmd_graceful, "gracefully-labeled and graceful predicates", graph)
-    add("grl", _cmd_grl, "distinct gracefully labeled conjugates", graph, limit)
-    add("gammas", _cmd_gammas, "enumerate valid gammas and check the count", n, limit)
-    add(
-        "sp",
-        _cmd_sp,
-        "signed permutations and the entry-product identity",
-        n,
-        seed,
-        limit,
-    )
-    add("tau", _cmd_tau, "bounds and brute-force count of tau_n", n)
-    add("genfun", _cmd_genfun, "label-sequence generating function", which, n, oracle)
-    p = add("coeff", _cmd_coeff, "coefficient of one label sequence", which)
-    p.add_argument("--sequence", required=True, help="comma-separated labels")
-    p = add("props", _cmd_props, "structural property reports for F and P", n)
-    p.add_argument("--which", choices=("f", "p"))
-    add("tdmtt", _cmd_tdmtt, "directed matrix tree theorem spot check", n, seed)
-    p = add("whitty", _cmd_whitty, "Whitty determinantal identity check", n)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--symbolic", action="store_true")
-    group.add_argument("--seed", type=int, default=0)
-    add(
-        "neighbors",
-        _cmd_neighbors,
-        "edit-distance-one graceful neighbors",
-        graph,
-        oracle,
-        limit,
-    )
-    add("conjecture", _cmd_conjecture, "star-sequence inclusion sweep", n)
-
+    for name in [name for name in argv[:1] if name in _SUBCOMMANDS] or _SUBCOMMANDS:
+        _, help_text, options = _SUBCOMMANDS[name]
+        _add_options(sub.add_parser(name, help=help_text), ["format", *options])
     return parser
 
 
@@ -525,11 +545,11 @@ def _execute(argv: Sequence[str]) -> tuple[int, str]:
     Each handler returns whether its checks passed (exit 0, else 1) and its
     output: text lines, or the structured document without its "command"
     field, which is put first here."""
-    args = _build_parser().parse_args(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
         _check_limit(args)
         _check_seed(args)
-        ok, out = args.handler(args)
+        ok, out = _SUBCOMMANDS[args.command][0](args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2, ""
@@ -540,10 +560,16 @@ def _execute(argv: Sequence[str]) -> tuple[int, str]:
     return code, "\n".join(out)
 
 
+# Text is written a slice at a time, so that encoding it never makes a
+# second copy of the whole output.
+_SLICE = 1 << 20
+
+
 def _write(text: str) -> None:
     # sys.stdout is looked up at write time: callers may redirect it
-    if text:
-        sys.stdout.write(text)
+    write = sys.stdout.write
+    for start in range(0, len(text), _SLICE):
+        write(text[start : start + _SLICE])
 
 
 def run(argv: Sequence[str]) -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from gracelab.digraph import (
     FunctionalDigraph,
@@ -198,11 +198,13 @@ def realizes(g: FunctionalDigraph, target: Sequence[int]) -> bool:
     return next(_hits(g.values, need), None) is not None
 
 
-class ConjectureReport(NamedTuple):
-    n: int
-    classes: tuple[TreeClass, ...]
-    missing: tuple[tuple[FunctionalDigraph, tuple[int, ...]], ...]
-    violations: tuple[str, ...] = ()  # failed invariants of the class list
+class ConjectureReport(
+    namedtuple("ConjectureReport", "n classes missing violations", defaults=((),))
+):
+    """The TreeClasses at n, the (representative, sequence) pairs missing, and
+    the failed invariants of the class list (none by default)."""
+
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:

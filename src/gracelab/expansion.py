@@ -15,7 +15,7 @@ import itertools
 import math
 from collections import namedtuple
 from operator import getitem
-from typing import NamedTuple, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 from gracelab.digraph import (
     FunctionalDigraph,
@@ -259,11 +259,10 @@ def enumerate_sp(n: int) -> list[SignedPermutation]:
     )
 
 
-class IdentityCheck(NamedTuple):
+class IdentityCheck(namedtuple("IdentityCheck", "left right")):
     """The two sides of an identity computed two ways."""
 
-    left: int
-    right: int
+    __slots__ = ()
 
     @property
     def equal(self) -> bool:

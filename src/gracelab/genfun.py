@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import reduce
 from operator import add, mul
-from typing import NamedTuple, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 from gracelab.digraph import tree_folds
 from gracelab.expansion import IdentityCheck
@@ -276,28 +276,21 @@ def tdmtt_check(matrix: Sequence[Sequence[int]]) -> IdentityCheck:
 
 # --- structural property checks -------------------------------------------
 
-class ClaimCheck(NamedTuple):
-    claim: str
-    predicted: str
-    computed: str
-    status: str  # "pass" | "fail" | "discrepancy"
+class ClaimCheck(namedtuple("ClaimCheck", "claim predicted computed status")):
+    """One claim, its predicted and computed values as text, and its status:
+    "pass", "fail" or "discrepancy"."""
+
+    __slots__ = ()
 
 
-class PropertyReport(NamedTuple):
-    which: str
-    n: int
-    checks: tuple[ClaimCheck, ...]
+class PropertyReport(namedtuple("PropertyReport", "which n checks")):
+    """The ClaimChecks of F or P at one n."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return all(c.status != "fail" for c in self.checks)
-
-    def to_text(self) -> list[str]:
-        return [
-            f"claim={c.claim} predicted={c.predicted} computed={c.computed} "
-            f"status={c.status}"
-            for c in self.checks
-        ]
 
     def to_doc(self) -> dict:
         # _asdict does not recurse, and json would print a nested check as a list

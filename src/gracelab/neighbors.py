@@ -12,7 +12,6 @@ generator is measured, never assumed.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import NamedTuple
 
 from gracelab.digraph import (
     FunctionalDigraph,
@@ -129,11 +128,11 @@ def neighbors_bruteforce(g: FunctionalDigraph) -> list[FunctionalDigraph]:
     return [FunctionalDigraph(t) for t in sorted(found)]
 
 
-class NeighborReport(NamedTuple):
-    generated: tuple[FunctionalDigraph, ...]
-    oracle: tuple[FunctionalDigraph, ...]
-    missing: tuple[FunctionalDigraph, ...]
-    extra: tuple[FunctionalDigraph, ...]
+class NeighborReport(namedtuple("NeighborReport", "generated oracle missing extra")):
+    """Tuples of FunctionalDigraphs: the flip generator's neighbors, the
+    oracle's, and the two differences."""
+
+    __slots__ = ()
 
 
 def completeness_check(fam: ExpansionFamily) -> NeighborReport:

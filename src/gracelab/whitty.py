@@ -19,9 +19,9 @@ beyond n = 2.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from itertools import product
-from typing import NamedTuple, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 from gracelab.digraph import (
     FunctionalDigraph,
@@ -51,11 +51,10 @@ __all__ = [
 T = TypeVar("T")
 
 
-class WhittyMatrices(NamedTuple):
+class WhittyMatrices(namedtuple("WhittyMatrices", "lam upsilon")):
     """The banded matrices; entries whose A-index leaves [0, n) are zero."""
 
-    lam: tuple[tuple, ...]
-    upsilon: tuple[tuple, ...]
+    __slots__ = ()
 
 
 def build_whitty(matrix: Sequence[Sequence[T]]) -> WhittyMatrices:
@@ -173,11 +172,12 @@ def _column_reversal_parity(n: int) -> int:
     return -1 if ((n - 1) // 2) % 2 else 1
 
 
-class Calibration(NamedTuple):
-    epsilon: int
-    minor_convention: str
-    column_order: str
-    rhs_sign_convention: str
+class Calibration(
+    namedtuple(
+        "Calibration", "epsilon minor_convention column_order rhs_sign_convention"
+    )
+):
+    __slots__ = ()
 
 
 # The conventions under which the two sides agree; the global sign is
@@ -197,14 +197,14 @@ CALIBRATION = Calibration(
 )
 
 
-class WhittyCheck(NamedTuple):
-    lhs: object
-    rhs: object
-    equal_up_to_calibrated_sign: bool
-    calibration: Calibration
-    column_reversal_parity: int
-    rhs_label_signature_reading: object
-    label_signature_reading_agrees: bool
+class WhittyCheck(
+    namedtuple(
+        "WhittyCheck",
+        "lhs rhs equal_up_to_calibrated_sign calibration column_reversal_parity "
+        "rhs_label_signature_reading label_signature_reading_agrees",
+    )
+):
+    __slots__ = ()
 
 
 def whitty_check(matrix: Sequence[Sequence[T]]) -> WhittyCheck:

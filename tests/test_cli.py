@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from gracelab import cli
 from gracelab.cli import run
 
 
@@ -387,6 +388,42 @@ class TestUsageErrors:
         assert "--seed must be non-negative" in err
 
 
+class TestParsersBuilt:
+    """A command builds the parser of its own subcommand only; the top
+    level's help and its errors still list every subcommand."""
+
+    SUBCOMMANDS = (
+        "labels graceful grl gammas sp tau genfun coeff props tdmtt whitty "
+        "neighbors conjecture"
+    ).split()
+
+    def spy(self, monkeypatch):
+        built = []
+        init = cli._Subcommand.__init__
+
+        def record(parser, *args, **kwargs):
+            init(parser, *args, **kwargs)
+            built.append(parser.prog)
+
+        monkeypatch.setattr(cli._Subcommand, "__init__", record)
+        return built
+
+    def test_a_subcommand_builds_only_its_parser(self, capsys, monkeypatch):
+        built = self.spy(monkeypatch)
+        code, out, _ = invoke(capsys, "labels", "--graph", "1:0")
+        assert (code, out) == (0, "0\n")
+        assert built == ["gracelab labels"]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["frobnicate"], []], ids=repr)
+    def test_the_top_level_builds_every_parser(self, capsys, monkeypatch, argv):
+        built = self.spy(monkeypatch)
+        with pytest.raises(SystemExit):
+            run(argv)
+        assert built == [f"gracelab {name}" for name in self.SUBCOMMANDS]
+        captured = capsys.readouterr()
+        assert "{" + ",".join(self.SUBCOMMANDS) + "}" in captured.out + captured.err
+
+
 class TestStructuredDocs:
     def test_whitty_symbolic_document(self, capsys):
         code, out, _ = invoke(
@@ -528,6 +565,13 @@ class TestHardExit:
     def test_large_output_arrives_whole(self, capsys, tmp_path, launcher, argv):
         out = self.check(capsys, tmp_path, launcher, argv, 0)
         assert len(out) > 2**17  # more than a pipe holds, many write buffers
+
+    @pytest.mark.parametrize("launcher", LAUNCHERS, ids=lambda launcher: launcher[1])
+    def test_text_of_many_slices_arrives_whole(self, capsys, tmp_path, launcher):
+        # main writes the text a slice at a time; 2.2 MB is three slices,
+        # the last one partial
+        out = self.check(capsys, tmp_path, launcher, ("gammas", "--n", "12"), 0)
+        assert 2 * cli._SLICE < len(out) < 3 * cli._SLICE
 
     @pytest.mark.parametrize("launcher", LAUNCHERS, ids=lambda launcher: launcher[1])
     def test_failed_identity_exits_one(self, capsys, tmp_path, launcher):

@@ -2,9 +2,9 @@
 
 Each text was generated from the command line as it stood before each
 shared option (--format, --graph, --n, --limit, --seed, --which, --oracle)
-was declared once as a parent parser, so it pins the parser to its earlier
-layout: the top level and every subcommand's --help, and the stderr of
-usage errors that argparse itself reports (exit 2).  One pin moved since:
+was declared once, so it pins the parser to its earlier layout: the top
+level and every subcommand's --help, and the stderr of usage errors that
+argparse itself reports (exit 2).  One pin moved since:
 an unknown argument after a subcommand (``tau --n 3 --bogus``) is now
 reported by that subcommand's parser, with its usage line, as its other
 errors are; one before the subcommand is still the top level's.  argparse

@@ -1,8 +1,9 @@
 """The record types are immutable tuples that validate their fields.
 
-Each record is a named tuple; the six that check their fields do so in
-``__new__``, so no instance with bad fields exists.  Fields cannot be
-reassigned, and no record takes attributes beyond its fields.
+Each record subclasses a ``collections.namedtuple`` class with
+``__slots__ = ()``; the six that check their fields do so in ``__new__``,
+so no instance with bad fields exists.  Fields cannot be reassigned, and no
+record takes attributes beyond its fields.
 """
 
 import pytest
@@ -50,6 +51,18 @@ def test_fields_are_read_only(make):
             setattr(record, field, getattr(record, field))
     with pytest.raises(AttributeError):
         record.extra = 0
+
+
+@pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS.keys())
+def test_one_record_idiom(make):
+    # typing.NamedTuple would make the record the namedtuple class itself,
+    # with its fields' annotations
+    record_class = type(make())
+    (base,) = record_class.__bases__
+    assert base.__bases__ == (tuple,)
+    assert base._fields == record_class._fields
+    assert vars(record_class)["__slots__"] == ()
+    assert "__annotations__" not in vars(record_class)
 
 
 @pytest.mark.parametrize(
