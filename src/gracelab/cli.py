@@ -84,29 +84,30 @@ def _poly_json(poly: SparsePoly) -> str:
     return "[" + ",".join(map(_TERM.__mod__, poly.items())) + "]"
 
 
-class _Rendered(str):
-    """A field of a structured document, already written as its indent-2 JSON."""
+class _Rendered(tuple):
+    """A field of a structured document, already written as the pieces of
+    its indent-2 JSON."""
 
 
 def _terms_field(poly: SparsePoly) -> _Rendered:
     if not poly:
-        return _Rendered("[]")
-    return _Rendered("[\n" + ",\n".join(map(_TERM_ROW.__mod__, poly.items())) + "\n  ]")
+        return _Rendered(("[]",))
+    return _Rendered(("[\n", ",\n".join(map(_TERM_ROW.__mod__, poly.items())), "\n  ]"))
 
 
-def _document(doc: dict) -> str:
-    """json.dumps(doc, indent=2) and a newline, with each _Rendered field
-    written as it is, in one join so a large field is copied once."""
+def _document(doc: dict) -> list[str]:
+    """The pieces of json.dumps(doc, indent=2) and a newline, with each
+    _Rendered field's pieces as they are, so a large field is never copied."""
     import json  # only structured output loads it
 
     pieces = []
     for key, value in doc.items():
         if not isinstance(value, _Rendered):
-            value = json.dumps(value, indent=2).replace("\n", "\n  ")
-        pieces += (",\n  ", json.dumps(key), ": ", value)
+            value = (json.dumps(value, indent=2).replace("\n", "\n  "),)
+        pieces += (",\n  ", json.dumps(key), ": ", *value)
     pieces[0] = "{\n  "  # no comma before the first field
     pieces.append("\n}\n")
-    return "".join(pieces)
+    return pieces
 
 
 def _bool(flag: bool) -> str:
@@ -175,7 +176,7 @@ def _cmd_gammas(args) -> tuple[bool, dict | list[str]]:
         # and commas, so none needs escaping; n >= 2 lists at least one
         return agree, {
             "n": n,
-            "gammas": _Rendered('[\n    "' + '",\n    "'.join(gammas) + '"\n  ]'),
+            "gammas": _Rendered(('[\n    "', '",\n    "'.join(gammas), '"\n  ]')),
             "enumerated": len(gammas),
             "formula": count,
             "status": "pass" if agree else "fail",
@@ -538,9 +539,10 @@ def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     return parser
 
 
-def _execute(argv: Sequence[str]) -> tuple[int, str]:
-    """Exit status and the stdout text of one command, rendered only in the
-    format it asks for; usage errors are reported on stderr.
+def _execute(argv: Sequence[str]) -> tuple[int, list[str]]:
+    """Exit status and the pieces of the stdout text of one command,
+    rendered only in the format it asks for; usage errors are reported on
+    stderr.
 
     Each handler returns whether its checks passed (exit 0, else 1) and its
     output: text lines, or the structured document without its "command"
@@ -552,29 +554,29 @@ def _execute(argv: Sequence[str]) -> tuple[int, str]:
         ok, out = _SUBCOMMANDS[args.command][0](args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2, ""
+        return 2, []
     code = 0 if ok else 1
     if args.format == "structured":
         return code, _document({"command": args.command, **out})
-    out.append("")  # the final newline, joined with the rest in one copy
-    return code, "\n".join(out)
+    out.append("")  # the final newline; no lines write nothing
+    return code, ["\n".join(out)]
 
 
-# Text is written a slice at a time, so that encoding it never makes a
-# second copy of the whole output.
+# Each piece is written a slice at a time, so that encoding it never makes
+# a second copy of the whole output.
 _SLICE = 1 << 20
 
 
-def _write(text: str) -> None:
-    # sys.stdout is looked up at write time: callers may redirect it
-    write = sys.stdout.write
-    for start in range(0, len(text), _SLICE):
-        write(text[start : start + _SLICE])
+def _write(pieces: list[str]) -> None:
+    # sys.stdout is looked up at each write: callers may redirect it
+    for text in pieces:
+        for start in range(0, len(text), _SLICE):
+            sys.stdout.write(text[start : start + _SLICE])
 
 
 def run(argv: Sequence[str]) -> int:
-    code, text = _execute(argv)
-    _write(text)
+    code, pieces = _execute(argv)
+    _write(pieces)
     return code
 
 
@@ -585,9 +587,9 @@ def main() -> None:
     util.hard_exit does: the interpreter's teardown would only free every
     module and object after the output is already written.
     """
-    code, text = _execute(sys.argv[1:])
+    code, pieces = _execute(sys.argv[1:])
     try:
-        _write(text)
+        _write(pieces)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed the pipe (``gracelab gammas --n 12 | head -1``):

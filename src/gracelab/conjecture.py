@@ -19,7 +19,7 @@ definition.
 from __future__ import annotations
 
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
 from typing import Iterator, Sequence
 
 from gracelab.digraph import (
@@ -139,16 +139,6 @@ def _ordered_parent_arrays(n: int) -> Iterator[tuple[int, ...]]:
     return extend(1)
 
 
-def _automorphism_count(children: list[list[int]], code: list[int]) -> int:
-    """|Aut| of a rooted tree: the product, over all vertices, of the
-    factorials of the multiplicities of equal child shapes."""
-    count = 1
-    for kids in children:
-        for m in Counter(code[u] for u in kids).values():
-            count *= math.factorial(m)
-    return count
-
-
 def tree_shapes(n: int) -> list[TreeClass]:
     """One TreeClass per conjugation orbit of functional trees on Z_n, in
     the order of their representatives, without walking any orbit.
@@ -159,7 +149,10 @@ def tree_shapes(n: int) -> list[TreeClass]:
     still has an unlabeled child; that label is below i and never
     decreases.  So the first array of each shape (AHU code of the root, from
     digraph._structure) in lexicographic order is the orbit's least table.
-    The class size is n! / |Aut| (orbit-stabilizer).
+    The class size is n! / |Aut| (orbit-stabilizer).  |Aut| is the product
+    of m! over each run of m twins (siblings of one shape, marked by
+    _structure), so it is the product of every vertex's place in its run.
+    Its elements are the twin swaps that the labeling search skips.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -167,11 +160,15 @@ def tree_shapes(n: int) -> list[TreeClass]:
     seen: set[int] = set()
     classes = []
     for values in _ordered_parent_arrays(n):
-        _, children, code = _structure(values, ids)
+        _, _, code, twin = _structure(values, ids)
         if code[0] in seen:
             continue
         seen.add(code[0])
-        size = math.factorial(n) // _automorphism_count(children, code)
+        run = [1] * n  # each vertex's place in its run of twins
+        for w, u in enumerate(twin):  # u < w, so run[u] is already final
+            if u >= 0:
+                run[w] = run[u] + 1
+        size = math.factorial(n) // math.prod(run)
         classes.append(TreeClass(FunctionalDigraph(values), size))
     return classes
 

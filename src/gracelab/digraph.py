@@ -310,25 +310,26 @@ def conjugate_tables(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 # are placed: the all-ones target asks for gracefully labeled conjugates,
 # realizes (gracelab.conjecture) for one label sequence.  Cycle vertices go
 # first (shortest cycles first, each in order around the cycle), then every
-# in-tree depth-first, so each tree edge is labeled when its tail is
-# placed; the vertex that closes a cycle completes two edges, which may
-# take the same label twice.  Candidates are tried largest needed label
-# first, which finds a first hit fast; depth-first placement keeps the
-# full enumerations (grl_set, expansion_family) smaller than breadth-first
+# in-tree depth-first, siblings in the order _structure sorts them (by
+# shape code), so each tree edge is labeled when its tail is placed; the
+# vertex that closes a cycle completes two edges, which may take the same
+# label twice.  Candidates are tried largest needed label first, which
+# finds a first hit fast; depth-first placement keeps the full
+# enumerations (grl_set, expansion_family) smaller than breadth-first
 # would.  Four more cuts, each from the definitions alone:
 # - label 0 comes from loops only, so the search needs exactly one loop
 #   and a target with exactly one 0;
-# - twins, off-cycle siblings whose in-subtrees have the same shape, take
-#   sigma values that run toward their parent's: decreasing below a parent
-#   in the lower half of the labels, increasing below one in the upper
-#   half.  The first twin takes the label farthest from its parent's, so
-#   the next has room between them.  With one fixed direction the first
-#   twin below a parent in one half leaves no room for the next, and a
-#   first hit on a star takes exponential time: rooted at its centre for
-#   increasing twins, at a leaf for decreasing ones.  Swapping two twin
-#   subtrees is an automorphism of f that keeps the parent's sigma, so,
-#   fixed from the cycles down, every distinct conjugate table is still
-#   reached;
+# - twins, off-cycle siblings whose in-subtrees have the same shape (marked
+#   by _structure), take sigma values that run toward their parent's:
+#   decreasing below a parent in the lower half of the labels, increasing
+#   below one in the upper half.  The first twin takes the label farthest
+#   from its parent's, so the next has room between them.  With one fixed
+#   direction the first twin below a parent in one half leaves no room for
+#   the next, and a first hit on a star takes exponential time: rooted at
+#   its centre for increasing twins, at a leaf for decreasing ones.
+#   Swapping two twin subtrees is an automorphism of f that keeps the
+#   parent's sigma, so, fixed from the cycles down, every distinct
+#   conjugate table is still reached;
 # - a partial sigma is dropped when some label L still needed has no pair
 #   of labels x, x + L left that an unplaced edge could join;
 # - sigma and n-1-sigma give the same edge labels, and twin swaps fix the
@@ -341,12 +342,16 @@ def conjugate_tables(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 def _structure(
     values: tuple[int, ...],
     ids: dict[tuple[int, ...], int] | None = None,
-) -> tuple[list[list[int]], list[list[int]], list[int]]:
-    """Cycles (each in order v, f(v), ...), off-cycle in-neighbours, and an
-    AHU shape code per vertex: equal codes mean isomorphic in-subtrees.
+) -> tuple[list[list[int]], list[list[int]], list[int], list[int]]:
+    """Cycles (each in order v, f(v), ...), off-cycle in-neighbours, an
+    AHU shape code per vertex (equal codes mean isomorphic in-subtrees),
+    and the twin of each vertex: the sibling just before it with the same
+    code, or -1.
 
-    Codes are numbered in ids (sorted child codes -> code); pass one dict to
-    several calls to make their codes comparable across tables."""
+    Each vertex's in-neighbours are sorted by code, ties by vertex, so
+    twins sit in runs.  Codes are numbered in ids (sorted child codes ->
+    code); pass one dict to several calls to make their codes comparable
+    across tables."""
     n = len(values)
     state = [0] * n  # 0 unvisited, 1 on the current walk, 2 finished
     cycles: list[list[int]] = []
@@ -361,24 +366,29 @@ def _structure(
             cycles.append(walk[walk.index(v) :])
         for u in walk:
             state[u] = 2
-    on_cycle = [False] * n
-    for cycle in cycles:
-        for v in cycle:
-            on_cycle[v] = True
+    top_down = [v for cycle in cycles for v in cycle]
+    on_cycle = set(top_down)
     children: list[list[int]] = [[] for _ in range(n)]
     for u in range(n):
-        if not on_cycle[u]:
+        if u not in on_cycle:
             children[values[u]].append(u)
-    top_down = [v for cycle in cycles for v in cycle]
     for v in top_down:  # grows while it is read: a breadth-first order
         top_down.extend(children[v])
     if ids is None:
         ids = {}
     code = [0] * n
+    twin = [-1] * n
+    shape = code.__getitem__
     for v in reversed(top_down):
-        key = tuple(sorted(code[u] for u in children[v]))
-        code[v] = ids.setdefault(key, len(ids))
-    return cycles, children, code
+        kids = children[v]
+        kids.sort(key=shape)
+        code[v] = ids.setdefault(tuple(map(shape, kids)), len(ids))
+        u = -1  # the previous sibling; no kids[1:] slice per vertex
+        for w in kids:
+            if u >= 0 and code[u] == code[w]:
+                twin[w] = u
+            u = w
+    return cycles, children, code, twin
 
 
 def _labelings(
@@ -391,16 +401,11 @@ def _labelings(
     n = len(values)
     if need[0] != 1 or sum(1 for v, w in enumerate(values) if v == w) != 1:
         return
-    cycles, children, code = _structure(values)
+    cycles, children, _, twin = _structure(values)
     order = [v for cycle in sorted(cycles, key=len) for v in cycle]
-    twin = [-1] * n  # the previous twin of each vertex, or -1
 
     def visit(v: int) -> None:
-        kids = sorted(children[v], key=code.__getitem__)
-        for u, w in zip(kids, kids[1:]):
-            if code[u] == code[w]:
-                twin[w] = u
-        for u in kids:
+        for u in children[v]:
             order.append(u)
             visit(u)
 

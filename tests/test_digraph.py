@@ -257,6 +257,73 @@ class TestFirstHit:
         assert rerooted(spider(8, 3), 3)[:4] == (1, 2, 3, 3)
 
 
+# The conjugate-search benchmark's random 10-vertex trees, seeds 1-10.
+BENCH_TREES = [
+    (8, 4, 2, 0, 5, 2, 8, 9, 2, 6),
+    (7, 7, 4, 1, 7, 7, 0, 7, 9, 1),
+    (3, 5, 3, 5, 0, 5, 8, 2, 5, 8),
+    (5, 9, 9, 7, 9, 2, 7, 7, 7, 3),
+    (3, 0, 8, 3, 0, 3, 0, 8, 5, 3),
+    (7, 6, 6, 5, 7, 4, 5, 7, 6, 4),
+    (8, 2, 8, 9, 8, 9, 7, 5, 7, 9),
+    (7, 8, 8, 7, 6, 8, 3, 7, 6, 6),
+    (6, 7, 5, 8, 2, 5, 5, 0, 5, 6),
+    (2, 7, 8, 1, 7, 5, 1, 5, 3, 8),
+]
+
+
+class TestTwins:
+    """_structure sorts each vertex's off-cycle in-neighbours by shape code
+    and marks twins, the siblings of equal code, once for both the labeling
+    search and the class sizes of the shape sweep.  Swapping two twins'
+    in-subtrees, vertex for vertex in the search's depth-first placement
+    order, is an automorphism."""
+
+    @staticmethod
+    def check(values):
+        n = len(values)
+        cycles, children, code, twin = digraph._structure(values)
+        on_cycle = {v for cycle in cycles for v in cycle}
+        expected = [-1] * n
+        for v, kids in enumerate(children):
+            off_cycle = [u for u in range(n) if values[u] == v and u not in on_cycle]
+            assert sorted(kids) == off_cycle
+            assert [code[u] for u in kids] == sorted(code[u] for u in kids)
+            for u, w in zip(kids, kids[1:]):
+                if code[u] == code[w]:
+                    expected[w] = u
+        assert twin == expected
+
+        def placed(v):
+            out = [v]
+            for u in children[v]:
+                out += placed(u)
+            return out
+
+        for w, u in enumerate(twin):
+            if u < 0:
+                continue
+            swap = list(range(n))
+            for x, y in zip(placed(u), placed(w), strict=True):
+                swap[x], swap[y] = y, x
+            assert _conjugate(values, tuple(swap)) == values
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_value_table(self, n):
+        for values in all_value_tables(n):
+            self.check(values)
+
+    @pytest.mark.parametrize("values", BENCH_TREES, ids=lambda v: ",".join(map(str, v)))
+    def test_benchmark_trees(self, values):
+        assert is_functional_tree(FunctionalDigraph(values))
+        self.check(values)
+
+    def test_a_run_of_twins(self):
+        # the star's leaves form one run; the path has no twins
+        assert digraph._structure((0,) * 5)[3] == [-1, -1, 1, 2, 3]
+        assert digraph._structure((0, 0, 1, 2))[3] == [-1] * 4
+
+
 class TestGrlSet:
     def test_star_has_two_members(self):
         members = grl_set(D(0, 0, 0, 0, 0))
