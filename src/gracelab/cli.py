@@ -192,7 +192,7 @@ def _cmd_sp(args) -> tuple[bool, dict | list[str]]:
     _gate("sp", args.n, minimum=2)
     sps = expansion_mod.enumerate_sp(args.n)
     matrix = integer_matrix(args.n, args.seed, 1, 100)
-    check = expansion_mod.sp_sum_identity_check(args.n, matrix)
+    check = expansion_mod.sp_sum_identity_check(sps, matrix)
     if args.format == "structured":
         return check.equal, {
             "n": args.n,

@@ -9,8 +9,8 @@ tables of their orbits.
 check_conjecture_42 sweeps tree shapes: one non-decreasing parent array per
 rooted-tree shape (tree_shapes), its class size by orbit-stabilizer, and
 one witness per star sequence (realizes): the first hit of the labeling
-search of gracelab.digraph, given the sequence's label counts as its
-target, re-checked by reading off the edge labels.  tree_classes and
+search of gracelab.digraph, given the sequence as its target,
+re-checked by reading off the edge labels.  tree_classes and
 class_sequences walk each class's n! orbit instead; they stay as the
 oracle for the shape sweep, and the two share only the edge-label
 definition.
@@ -177,11 +177,11 @@ def realizes(g: FunctionalDigraph, target: Sequence[int]) -> bool:
     """True iff some relabeling sigma g sigma^(-1) of the functional tree g
     has edge_labels equal to sorted(target).
 
-    The labeling search of gracelab.digraph, with the label counts of the
-    target, stops at its first witness; it finds none unless the target has
+    The labeling search of gracelab.digraph, given the sorted target,
+    stops at its first witness; it finds none unless the target has
     exactly one 0, the root's loop.  The witness counts only after
     digraph._hits reads the conjugated table's edge labels back and
-    compares them.
+    compares them with the target.
     """
     if not is_functional_tree(g):
         raise ValueError("realizes needs a functional tree")
@@ -189,10 +189,7 @@ def realizes(g: FunctionalDigraph, target: Sequence[int]) -> bool:
     target = tuple(sorted(target))
     if len(target) != n or not 0 <= target[0] <= target[-1] < n:
         raise ValueError(f"not a label sequence on Z_{n}: {target!r}")
-    need = [0] * n
-    for label in target:
-        need[label] += 1
-    return next(_hits(g.values, need), None) is not None
+    return next(_hits(g.values, target), None) is not None
 
 
 class ConjectureReport(

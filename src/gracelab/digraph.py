@@ -307,7 +307,7 @@ def conjugate_tables(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 # A conjugate sigma f sigma^(-1) has the edge label |sigma(f(v)) - sigma(v)|
 # at vertex sigma(v).  The search assigns sigma one vertex at a time and
 # takes each edge label from a label-count target as soon as both endpoints
-# are placed: the all-ones target asks for gracefully labeled conjugates,
+# are placed: one of each label asks for gracefully labeled conjugates,
 # realizes (gracelab.conjecture) for one label sequence.  Cycle vertices go
 # first (shortest cycles first, each in order around the cycle), then every
 # in-tree depth-first, siblings in the order _structure sorts them (by
@@ -334,7 +334,10 @@ def conjugate_tables(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 #   of labels x, x + L left that an unplaced edge could join;
 # - sigma and n-1-sigma give the same edge labels, and twin swaps fix the
 #   loop, so the loop takes only the lower half of the labels and each hit
-#   is yielded with its complement.
+#   is yielded with its complement, except when the loop sits on the middle
+#   label (odd n): the search reaches that complement by itself.
+# So no sigma is yielded twice, and on a tree, whose automorphisms the twin
+# swaps generate, no conjugate table either.
 # The search never uses gamma or sign patterns, and the oracles never use
 # the search.
 
@@ -395,9 +398,10 @@ def _labelings(
     values: tuple[int, ...], need: Sequence[int]
 ) -> Iterator[tuple[int, ...]]:
     """Yield sigma (sigma[v] is the label of vertex v) for conjugates
-    sigma f sigma^(-1) with need[L] edges of label L for every L; every
-    such conjugate table comes from at least one yielded sigma.  Yields
-    nothing unless f has exactly one loop and need[0] == 1."""
+    sigma f sigma^(-1) with need[L] edges of label L for every L, each
+    sigma once; every such conjugate table comes from at least one yielded
+    sigma, and from exactly one when f is a tree.  Yields nothing unless f
+    has exactly one loop and need[0] == 1."""
     n = len(values)
     if need[0] != 1 or sum(1 for v, w in enumerate(values) if v == w) != 1:
         return
@@ -438,7 +442,8 @@ def _labelings(
         # needed those with left > 0 and o those of the open vertices.
         if k == n:
             yield tuple(sigma)
-            yield tuple(n - 1 - x for x in sigma)
+            if 2 * sigma[order[0]] != n - 1:  # the loop is not on the middle label
+                yield tuple(n - 1 - x for x in sigma)
             return
         v = order[k]
         opens = last[v] > k
@@ -542,18 +547,18 @@ def _least_conjugator(
 
 
 def _hits(
-    values: tuple[int, ...], need: Sequence[int]
+    values: tuple[int, ...], target: tuple[int, ...]
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """(sigma f sigma^(-1), sigma) for each sigma of the labeling search
-    with the label counts need as its target, conjugated once and read
-    back: a hit whose table's sorted edge labels are not the target is
-    dropped, and a sigma that is not a permutation of Z_n raises
+    for the sorted label sequence target (labels in Z_n), conjugated once
+    and read back: a hit whose table's sorted edge labels are not the
+    target is dropped, and a sigma that is not a permutation of Z_n raises
     ValueError."""
-    target = [label for label, count in enumerate(need) for _ in range(count)]
+    need = [target.count(label) for label in range(len(values))]
     for sigma in _labelings(values, need):
         Permutation(sigma)  # raises ValueError unless sigma permutes Z_n
         table = _conjugate(values, sigma)
-        if sorted(abs(v - i) for i, v in enumerate(table)) == target:
+        if tuple(sorted(abs(v - i) for i, v in enumerate(table))) == target:
             yield table, sigma
 
 
@@ -561,27 +566,27 @@ def _first_conjugators(
     values: tuple[int, ...],
 ) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Map each distinct gracefully labeled conjugate table of f to the
-    lexicographically least sigma with sigma f sigma^(-1) == table."""
+    lexicographically least sigma with sigma f sigma^(-1) == table, the
+    same from whichever hit reaches the table."""
     code = _structure(values)[2]
-    reached: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for t, s in _hits(values, [1] * len(values)):
-        reached.setdefault(t, s)
-    return {t: _least_conjugator(values, t, s, code) for t, s in reached.items()}
+    hits = _hits(values, tuple(range(len(values))))
+    return {t: _least_conjugator(values, t, s, code) for t, s in hits}
 
 
 def is_graceful(g: FunctionalDigraph) -> bool:
     """True iff some relabeling of g is gracefully labeled; the labeling
     search stops at its first hit that reads back gracefully labeled."""
-    return next(_hits(g.values, [1] * g.n), None) is not None
+    return next(_hits(g.values, tuple(range(g.n))), None) is not None
 
 
 def grl_set(g: FunctionalDigraph) -> list[FunctionalDigraph]:
     """All distinct gracefully labeled conjugates of g, lexicographically sorted.
 
-    The labeling search may reach one table from several sigma (automorphisms
-    other than twin swaps); the set keeps each once.
+    On a tree the labeling search reaches each table once; otherwise it may
+    reach one from several sigma (automorphisms other than twin swaps, such
+    as cycle rotations), and the set keeps each once.
     """
-    found = {t for t, _ in _hits(g.values, [1] * g.n)}
+    found = {t for t, _ in _hits(g.values, tuple(range(g.n)))}
     return [FunctionalDigraph(t) for t in sorted(found)]
 
 

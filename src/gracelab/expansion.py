@@ -269,17 +269,21 @@ class IdentityCheck(namedtuple("IdentityCheck", "left right")):
         return self.left == self.right
 
 
-def sp_sum_identity_check(n: int, matrix: Sequence[Sequence[int]]) -> IdentityCheck:
-    """Signed-permutation entry-product sum vs the brute-force graceful sum.
+def sp_sum_identity_check(
+    sps: Sequence[SignedPermutation], matrix: Sequence[Sequence[int]]
+) -> IdentityCheck:
+    """Signed-permutation entry-product sum vs the brute-force graceful sum,
+    for the n x n matrix A.
 
-    left  = sum over enumerate_sp(n) of prod_i A[i, i+g(i)]
+    left  = sum over sps of prod_i A[i, i+g(i)]
     right = sum over gracefully labeled f with f(0) = 0 of prod_i A[i, f(i)],
     the right side enumerated by the label-bitmask search
-    digraph.graceful_tables(n, fix0=True).
+    digraph.graceful_tables(n, fix0=True).  The identity holds when sps is
+    enumerate_sp(n); the caller passes the list it has already enumerated.
     """
+    n = len(matrix)
     left = sum(
-        math.prod(map(getitem, matrix, (i + sp.g(i) for i in range(n))))
-        for sp in enumerate_sp(n)
+        math.prod(map(getitem, matrix, (i + sp.g(i) for i in range(n)))) for sp in sps
     )
     right = sum(
         math.prod(map(getitem, matrix, values))

@@ -142,7 +142,8 @@ def test_criterion_08_sp_identity_and_counts():
     with criterion("8 signed-permutation identity"):
         for n in range(2, 8):
             for seed in (1, 2, 3):
-                check = sp_sum_identity_check(n, integer_matrix(n, seed, 1, 100))
+                matrix = integer_matrix(n, seed, 1, 100)
+                check = sp_sum_identity_check(enumerate_sp(n), matrix)
                 assert check.equal
         # effective SP_n size equals the brute count of graceful f with f(0)=0
         for n, expected in ((3, 2), (4, 4)):

@@ -336,6 +336,100 @@ class TestChecksExitZero:
         assert out.splitlines() == ["5:0,0,0,0,0", "5:4,4,4,4,4", "count: 2"]
 
 
+class TestFailureRenderings:
+    """The lines and fields each subcommand writes when its check fails,
+    with the library call behind it patched to fail, in both formats."""
+
+    def test_conjecture_missing_pair(self, capsys, monkeypatch):
+        from gracelab import conjecture
+
+        real = conjecture.realizes
+
+        def realizes(g, target):
+            refused = g.values == (0, 0, 0, 0) and tuple(target) == (0, 1, 1, 2)
+            return not refused and real(g, target)
+
+        monkeypatch.setattr(conjecture, "realizes", realizes)
+        code, out, _ = invoke(capsys, "conjecture", "--n", "4")
+        assert code == 1
+        assert out.splitlines() == [
+            "class 4:0,0,0,0: missing 0,1,1,2",
+            "class 4:0,0,0,1: ok",
+            "class 4:0,0,1,1: ok",
+            "class 4:0,0,1,2: ok",
+            "classes: 4",
+            "class_size_total: 64",
+            "holds: false",
+        ]
+        code, out, _ = invoke(capsys, "conjecture", "--n", "4", "--format", "structured")
+        doc = json.loads(out)
+        assert code == 1 and doc["status"] == "fail"
+        assert doc["missing"] == [{"class": "4:0,0,0,0", "sequence": [0, 1, 1, 2]}]
+        assert "violations" not in doc
+
+    def test_genfun_oracle_mismatch(self, capsys, monkeypatch):
+        from gracelab import genfun
+        from gracelab.polyring import SparsePoly
+
+        real = genfun.compute_P_bruteforce
+        monkeypatch.setattr(
+            genfun, "compute_P_bruteforce", lambda n: real(n) + SparsePoly.monomial(1)
+        )
+        argv = ("genfun", "--which", "p", "--n", "3", "--oracle")
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 1
+        assert out.splitlines() == [
+            '[["7","3"],["13","6"]]',
+            "oracle: MISMATCH",
+            'oracle_poly: [["1","1"],["7","3"],["13","6"]]',
+        ]
+        code, out, _ = invoke(capsys, *argv, "--format", "structured")
+        doc = json.loads(out)
+        assert code == 1
+        assert doc["terms"] == [["7", "3"], ["13", "6"]]
+        assert (doc["status"], doc["oracle"]) == ("fail", "mismatch")
+
+    def test_gammas_count_mismatch(self, capsys, monkeypatch):
+        from gracelab import expansion
+
+        monkeypatch.setattr(expansion, "count_valid_gammas", lambda n: 5)
+        code, out, _ = invoke(capsys, "gammas", "--n", "5")
+        assert code == 1
+        assert out.splitlines()[-2:] == ["4 = 2!*2!", "MISMATCH: enumerated 4, formula 5"]
+        code, out, _ = invoke(capsys, "gammas", "--n", "5", "--format", "structured")
+        doc = json.loads(out)
+        assert code == 1 and doc["status"] == "fail"
+        assert (doc["enumerated"], doc["formula"]) == (4, 5)
+
+    @pytest.mark.parametrize(
+        "sequence, message",
+        [("0,x", "malformed sequence: '0,x'"), ("0,5", "label 5 outside [0, 2)")],
+    )
+    @pytest.mark.parametrize("which", ["f", "p"])
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_coeff_bad_sequence_is_usage_error(self, capsys, sequence, message, which, fmt):
+        argv = ("coeff", "--which", which, "--sequence", sequence, "--format", fmt)
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+class TestSpEnumeratesOnce:
+    def test_one_run_calls_enumerate_sp_once(self, capsys, monkeypatch):
+        from gracelab import expansion
+
+        real = expansion.enumerate_sp
+        calls = []
+
+        def enumerate_sp(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(expansion, "enumerate_sp", enumerate_sp)
+        code, out, _ = invoke(capsys, "sp", "--n", "4", "--seed", "1")
+        assert code == 0 and "equal=true" in out
+        assert calls == [4]
+
+
 class TestNeighborsCommand:
     def test_plain_listing(self, capsys):
         code, out, _ = invoke(capsys, "neighbors", "--graph", "5:0,0,0,0,0")

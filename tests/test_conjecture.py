@@ -21,6 +21,12 @@ from gracelab.digraph import FunctionalDigraph, Permutation, edge_labels, relabe
 A000081 = (1, 1, 2, 4, 9, 20, 48, 115, 286, 719)
 
 
+@pytest.mark.parametrize("build", [star_sequences, rooted_tree_count, tree_shapes])
+def test_n_below_one_is_rejected(build):
+    with pytest.raises(ValueError, match="need n >= 1"):
+        build(0)
+
+
 class TestStarSequences:
     def test_n4(self):
         assert star_sequences(4) == [(0, 1, 1, 2), (0, 1, 2, 3)]

@@ -23,7 +23,7 @@ from gracelab.digraph import (
     tree_folds,
 )
 from gracelab import digraph
-from gracelab.conjecture import realizes
+from gracelab.conjecture import realizes, star_sequences, tree_shapes
 from gracelab.digraph import _conjugate, _labelings, _labels_are_graceful
 
 
@@ -424,6 +424,14 @@ class TestHitsAreReadBack:
         assert counts["conjugations"] == counts["hits"] > 0
 
 
+class TestLeastConjugator:
+    def test_a_table_outside_the_orbit_raises(self):
+        # the 3-cycle 3:1,2,0 is no conjugate of the 3-star
+        code = digraph._structure((0, 0, 0))[2]
+        with pytest.raises(ValueError, match="not a conjugate"):
+            digraph._least_conjugator((0, 0, 0), (1, 2, 0), (0, 1, 2), code)
+
+
 def scan_conjugates(values):
     """Reference: sigma f sigma^-1 for every sigma of S_n, a plain n! scan."""
     n = len(values)
@@ -502,6 +510,41 @@ class TestLabelCountSearch:
                     assert reached == set(), (rep, seq)
 
 
+class TestEachSigmaOnce:
+    """The labeling search yields each sigma once: the complement n-1-sigma
+    of a hit whose loop sits on the middle label (odd n) is reached by the
+    search itself, not yielded again.  On a tree the twin swaps are all the
+    automorphisms, so each conjugate table is reached once as well.  The
+    star sequences include the graceful one, 0, 1, ..., n-1."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_every_rooted_shape(self, monkeypatch, n):
+        real = digraph._labelings
+        sigmas = []
+
+        def labelings(values, need):
+            for sigma in real(values, need):
+                sigmas.append(sigma)
+                yield sigma
+
+        monkeypatch.setattr(digraph, "_labelings", labelings)
+        for t in tree_shapes(n):
+            for target in star_sequences(n):
+                sigmas.clear()
+                hits = digraph._hits(t.representative.values, target)
+                tables = [table for table, _ in hits]
+                assert len(set(sigmas)) == len(sigmas) > 0, (t, target)
+                assert len(set(tables)) == len(tables), (t, target)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_value_table(self, n):
+        targets = [[seq.count(label) for label in range(n)] for seq in star_sequences(n)]
+        for values in all_value_tables(n):
+            for need in targets:
+                sigmas = list(_labelings(values, need))
+                assert len(set(sigmas)) == len(sigmas), (values, need)
+
+
 class TestComplement:
     def test_star3(self):
         assert complement(D(0, 0, 0)) == D(2, 2, 2)
@@ -547,6 +590,10 @@ class TestTextFormat:
     def test_malformed_number(self):
         with pytest.raises(ValueError, match="malformed"):
             FunctionalDigraph.parse("3:0,x,2")
+
+    def test_empty_table_rejected(self):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            FunctionalDigraph(())
 
 
 class TestPermutation:

@@ -34,6 +34,23 @@ def identity_expansion(gamma, p):
     return GracefulExpansion(Permutation.identity(n), Permutation(gamma), tuple(p))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        enumerate_valid_gammas_by_filter,
+        lambda n: valid_gammas(n, [(v,) for v in range(n)]),
+        count_valid_gammas,
+        tau_bounds,
+    ],
+    ids=[
+        "enumerate_valid_gammas_by_filter", "valid_gammas", "count_valid_gammas", "tau_bounds"
+    ],
+)
+def test_n_below_two_is_rejected(build):
+    with pytest.raises(ValueError, match="need n >= 2"):
+        build(1)
+
+
 class TestExpand:
     def test_all_minus_gives_star(self):
         e = identity_expansion((0, 1, 2), (0, 1, 1))
@@ -224,6 +241,15 @@ class TestSignedPermutations:
         with pytest.raises(ValueError, match="not odd"):
             SignedPermutation((0, 1, -1))  # g(0) = 1 breaks g(-i) = -g(i)
 
+    def test_rejects_non_bijection(self):
+        with pytest.raises(ValueError, match="not a bijection"):
+            SignedPermutation((0, 0, 0))
+
+    def test_n1_is_the_zero_map_and_n0_is_rejected(self):
+        assert enumerate_sp(1) == [SignedPermutation((0,))]
+        with pytest.raises(ValueError, match="need n >= 1"):
+            enumerate_sp(0)
+
     def test_rejects_out_of_range_sum(self):
         with pytest.raises(ValueError, match="leaves"):
             SignedPermutation((-1, 0, 1))  # odd, but 1 + g(1) = 2 is out of range
@@ -235,21 +261,21 @@ class TestSignedPermutations:
 
 class TestSpSumIdentity:
     def test_all_ones_n3(self):
-        check = sp_sum_identity_check(3, [[1] * 3] * 3)
+        check = sp_sum_identity_check(enumerate_sp(3), [[1] * 3] * 3)
         assert check.left == check.right == 2
 
     def test_all_ones_n4(self):
-        check = sp_sum_identity_check(4, [[1] * 4] * 4)
+        check = sp_sum_identity_check(enumerate_sp(4), [[1] * 4] * 4)
         assert check.left == check.right == 4
 
     def test_primes_n2(self):
-        check = sp_sum_identity_check(2, [[2, 3], [5, 7]])
+        check = sp_sum_identity_check(enumerate_sp(2), [[2, 3], [5, 7]])
         assert check.left == check.right == 2 * 5
 
     @pytest.mark.parametrize("n", range(2, 7))
     @pytest.mark.parametrize("seed", (1, 2, 3))
     def test_random_matrices(self, n, seed):
-        check = sp_sum_identity_check(n, integer_matrix(n, seed, 1, 100))
+        check = sp_sum_identity_check(enumerate_sp(n), integer_matrix(n, seed, 1, 100))
         assert check.equal
 
 

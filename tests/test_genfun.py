@@ -20,6 +20,7 @@ from gracelab.genfun import (
     f_extremal_sequence,
     graceful_coefficient_F,
     graceful_sequence_exponent,
+    monomial_matrix,
     p_extremal_sequence,
     tdmtt_check,
 )
@@ -115,6 +116,30 @@ def label_monomials(tables, base):
         e = sum(base ** abs(v - i) for i, v in enumerate(values))
         counts[e] = counts.get(e, 0) + 1
     return SparsePoly(counts)
+
+
+@pytest.mark.parametrize(
+    "build, n, floor",
+    [
+        (lambda n: monomial_matrix(n, 2), 0, 1),
+        (compute_P, 1, 2),
+        (p_extremal_sequence, 1, 2),
+    ],
+    ids=["monomial_matrix", "compute_P", "p_extremal_sequence"],
+)
+def test_n_below_the_floor_is_rejected(build, n, floor):
+    with pytest.raises(ValueError, match=f"need n >= {floor}"):
+        build(n)
+
+
+class TestSeededMatrices:
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            Lcg(-1)
+
+    def test_empty_entry_range_rejected(self):
+        with pytest.raises(ValueError, match="empty entry range"):
+            integer_matrix(2, 0, 5, 4)
 
 
 class TestMatrixBuild:
@@ -214,6 +239,10 @@ class TestEncodeDecode:
     def test_decode_rejects_overflow_exponent(self):
         with pytest.raises(ValueError, match="not a label-sequence exponent"):
             decode_exponent(4**5, 4, 3)
+
+    def test_decode_rejects_negative_exponent(self):
+        with pytest.raises(ValueError, match="negative exponent"):
+            decode_exponent(-1, 4, 3)
 
     def test_encode_rejects_out_of_range_label(self):
         with pytest.raises(ValueError, match="outside"):
@@ -329,6 +358,10 @@ class TestDeterminant:
         for matrix in ([[two, three], [three, two]], [[2, 3], [3, two]]):
             det = det_via_minor_expansion(matrix)
             assert type(det) is SparsePoly and det == SparsePoly.monomial(0, -5)
+
+    def test_non_square_matrix_rejected(self):
+        with pytest.raises(ValueError, match="must be square"):
+            det_via_minor_expansion([[1, 2]])
 
     def test_empty_matrix_is_all_int(self):
         det = det_via_minor_expansion([])

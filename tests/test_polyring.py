@@ -156,3 +156,33 @@ class TestSerialization:
     def test_pairs_are_decimal_strings_ascending(self):
         p = poly_of((6, 1), (2, 1), (4, 2))
         assert p.to_pairs() == [["2", "1"], ["4", "2"], ["6", "1"]]
+
+    @pytest.mark.parametrize(
+        "poly, text",
+        [
+            (SparsePoly.zero(), "SparsePoly(0)"),
+            (SparsePoly.monomial(0, -3), "SparsePoly(-3)"),
+            (SparsePoly.monomial(4), "SparsePoly(x^4)"),
+            (poly_of((0, 5), (1, 1), (3, -2)), "SparsePoly(5 + x^1 + -2*x^3)"),
+        ],
+        ids=["zero", "constant", "monomial", "mixed"],
+    )
+    def test_repr(self, poly, text):
+        assert repr(poly) == text
+
+
+class TestNonPolynomialOperands:
+    """Only a SparsePoly adds to or subtracts from a SparsePoly, and only
+    a SparsePoly or an int multiplies one; nothing else compares equal."""
+
+    @pytest.mark.parametrize(
+        "combine",
+        [lambda p: p + 1, lambda p: p - 1, lambda p: p * "x"],
+        ids=["p + 1", "p - 1", "p * 'x'"],
+    )
+    def test_operator_raises_type_error(self, combine):
+        with pytest.raises(TypeError):
+            combine(SparsePoly.one())
+
+    def test_equality_with_an_int_is_false(self):
+        assert (SparsePoly.zero() == 0) is False
