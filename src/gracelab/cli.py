@@ -253,6 +253,8 @@ def _cmd_genfun(args) -> tuple[bool, dict | list[str]]:
         doc["status"] = "pass" if ok else "fail"
         if args.oracle:
             doc["oracle"] = "identical" if identical else "mismatch"
+            if not identical:
+                doc["oracle_terms"] = _terms_field(reference)
         return ok, doc
     lines = [_poly_json(poly)]
     if args.oracle:

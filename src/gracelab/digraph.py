@@ -190,17 +190,26 @@ def tree_folds(rows: Sequence[Sequence[T]], op: Callable[[T, T], T]) -> Iterator
     take the loop; otherwise it takes exactly the vertices in the loop's
     reach, in increasing order.
     """
+    return _tree_folds(rows, op, (1 << len(rows)) - 1)
+
+
+def _tree_folds(
+    rows: Sequence[Sequence[T]], op: Callable[[T, T], T], first: int
+) -> Iterator[T]:
+    """tree_folds over the trees whose f(0) is a bit of the bitmask first,
+    in the same order: the search tries only those values at vertex 0."""
     n = len(rows)
     if n < 1:
         raise ValueError("need n >= 1")
     last = n - 1
     if not last:
-        yield rows[0][0]
+        if first & 1:
+            yield rows[0][0]
         return
     full = (1 << n) - 1
     values = [0] * last
     reach = [1 << u for u in range(n)]
-    left = [full] + [0] * (last - 1)  # bitmask of the values still to try
+    left = [first] + [0] * (last - 1)  # bitmask of the values still to try
     end = [0] * last  # where the path from f(i) ends (-1 for the loop)
     acc = [rows[0][0]] * n  # acc[i]: the fold over vertices 0..i-1 (i >= 1)
     last_row = rows[last]
@@ -569,8 +578,11 @@ def _first_conjugators(
     lexicographically least sigma with sigma f sigma^(-1) == table, the
     same from whichever hit reaches the table."""
     code = _structure(values)[2]
-    hits = _hits(values, tuple(range(len(values))))
-    return {t: _least_conjugator(values, t, s, code) for t, s in hits}
+    firsts: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for t, s in _hits(values, tuple(range(len(values)))):
+        if t not in firsts:  # cycle rotations reach one table several times
+            firsts[t] = _least_conjugator(values, t, s, code)
+    return firsts
 
 
 def is_graceful(g: FunctionalDigraph) -> bool:

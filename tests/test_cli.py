@@ -368,26 +368,38 @@ class TestFailureRenderings:
         assert "violations" not in doc
 
     def test_genfun_oracle_mismatch(self, capsys, monkeypatch):
+        # the brute-force polynomial, the counterexample, is written in both
+        # formats: oracle_poly in text, oracle_terms in the document
         from gracelab import genfun
         from gracelab.polyring import SparsePoly
 
-        real = genfun.compute_P_bruteforce
-        monkeypatch.setattr(
-            genfun, "compute_P_bruteforce", lambda n: real(n) + SparsePoly.monomial(1)
-        )
-        argv = ("genfun", "--which", "p", "--n", "3", "--oracle")
-        code, out, _ = invoke(capsys, *argv)
-        assert code == 1
-        assert out.splitlines() == [
-            '[["7","3"],["13","6"]]',
-            "oracle: MISMATCH",
-            'oracle_poly: [["1","1"],["7","3"],["13","6"]]',
-        ]
-        code, out, _ = invoke(capsys, *argv, "--format", "structured")
-        doc = json.loads(out)
-        assert code == 1
-        assert doc["terms"] == [["7", "3"], ["13", "6"]]
-        assert (doc["status"], doc["oracle"]) == ("fail", "mismatch")
+        cases = {
+            "p": [["7", "3"], ["13", "6"]],
+            "f": [["3", "1"], ["6", "4"], ["9", "5"], ["12", "2"], ["18", "2"]]
+            + [["21", "6"], ["24", "4"], ["33", "1"], ["36", "2"]],
+        }
+        for which, terms in cases.items():
+            name = f"compute_{which.upper()}_bruteforce"
+            real = getattr(genfun, name)
+            monkeypatch.setattr(
+                genfun, name, lambda n, real=real: real(n) + SparsePoly.monomial(1)
+            )
+            oracle_terms = [["1", "1"], *terms]
+            argv = ("genfun", "--which", which, "--n", "3", "--oracle")
+            code, out, _ = invoke(capsys, *argv)
+            assert code == 1
+            assert out.splitlines() == [
+                json.dumps(terms, separators=(",", ":")),
+                "oracle: MISMATCH",
+                "oracle_poly: " + json.dumps(oracle_terms, separators=(",", ":")),
+            ]
+            code, out, _ = invoke(capsys, *argv, "--format", "structured")
+            doc = json.loads(out)
+            assert code == 1
+            assert doc["terms"] == terms
+            assert (doc["status"], doc["oracle"]) == ("fail", "mismatch")
+            assert doc["oracle_terms"] == oracle_terms
+            assert list(doc)[-2:] == ["oracle", "oracle_terms"]
 
     def test_gammas_count_mismatch(self, capsys, monkeypatch):
         from gracelab import expansion

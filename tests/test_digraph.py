@@ -425,6 +425,23 @@ class TestHitsAreReadBack:
 
 
 class TestLeastConjugator:
+    def test_one_least_conjugator_per_table(self, monkeypatch):
+        # a loop and a 4-cycle: the search reaches each of the 24 gracefully
+        # labeled conjugate tables from each of the 4 rotations of the cycle
+        values = FunctionalDigraph.parse("9:0,2,3,4,1,0,5,6,7").values
+        real = digraph._least_conjugator
+        calls = []
+
+        def least_conjugator(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(digraph, "_least_conjugator", least_conjugator)
+        hits = [t for t, _ in digraph._hits(values, tuple(range(9)))]
+        firsts = digraph._first_conjugators(values)
+        assert (len(hits), len(set(hits)), len(calls)) == (96, 24, 24)
+        assert sorted(calls) == sorted(firsts) == sorted(set(hits))
+
     def test_a_table_outside_the_orbit_raises(self):
         # the 3-cycle 3:1,2,0 is no conjugate of the 3-star
         code = digraph._structure((0, 0, 0))[2]

@@ -1,9 +1,18 @@
 import itertools
 import math
+import os
+from operator import add
 
 import pytest
 
-from gracelab.digraph import FunctionalDigraph, all_value_tables, is_gracefully_labeled
+from gracelab import genfun
+from gracelab.digraph import (
+    FunctionalDigraph,
+    _tree_folds,
+    all_value_tables,
+    functional_trees,
+    is_gracefully_labeled,
+)
 from gracelab.genfun import (
     build_F_matrix,
     build_P_matrix,
@@ -577,3 +586,106 @@ class TestPropertyReports:
         assert {"claim", "predicted", "computed", "status"} == set(
             doc["checks"][0]
         )
+
+
+class TestSplitScans:
+    """The brute-force scans split by f(0) across forked workers
+    (genfun._shares); the split must never change a result."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        def patch(count):
+            monkeypatch.setattr(genfun, "_usable_cpus", lambda: count)
+
+        return patch
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("split", (2, 3))
+    def test_one_cpu_gives_what_the_split_gives(self, cpus, split):
+        # the split is forced with a patched CPU count, so that it runs on
+        # a one-CPU host as well
+        matrix = integer_matrix(7, 1, 1, 50)
+        scans = (
+            lambda: compute_F_bruteforce(7),
+            lambda: compute_P_bruteforce(7),
+            lambda: tdmtt_check(matrix),
+        )
+        cpus(split)
+        shared = [scan() for scan in scans]
+        cpus(1)
+        assert [scan() for scan in scans] == shared
+        assert shared[0] == compute_F(7) and shared[1] == compute_P(7)
+        assert shared[2].equal
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_tree_shares_partition_the_trees_in_order(self, n):
+        trees = list(functional_trees(n))
+        rows = [[(v,) for v in range(n)]] * n
+        for w in range(1, n + 1):
+            for k in range(w):
+                share = _tree_folds(rows, add, genfun._f0_mask(k, w, n))
+                assert list(share) == [t for t in trees if t[0] % w == k]
+
+    @pytest.mark.parametrize("n", (1, 6))
+    def test_small_scans_run_in_process(self, monkeypatch, cpus, n):
+        cpus(2)
+
+        def fork():
+            raise AssertionError("forked below the split size")
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert genfun._shares(lambda k, w: (k, w), n) == [(0, 1)]
+
+    def test_shares_come_back_in_order(self, cpus):
+        cpus(3)
+        assert genfun._shares(lambda k, w: {k: w}, 7) == [{0: 3}, {1: 3}, {2: 3}]
+        self.assert_no_child_left()
+
+    def test_a_share_larger_than_a_pipe_buffer_comes_back_whole(self, cpus):
+        cpus(2)
+        big = {e: e * e for e in range(100_000)}  # about 1 MiB of marshal bytes
+        assert genfun._shares(lambda k, w: big if k else 0, 7) == [0, big]
+        self.assert_no_child_left()
+
+    def test_a_raising_worker_raises_here(self, cpus):
+        cpus(2)
+
+        def part(k, w):
+            if k:
+                raise ValueError("share failed")
+            return 0
+
+        with pytest.raises(RuntimeError, match="share 1 of 2: worker exited with status 1"):
+            genfun._shares(part, 7)
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("data", (b"", b"\xff", genfun.marshal.dumps(10**30)[:-1]))
+    def test_unreadable_bytes_raise_here(self, cpus, monkeypatch, data):
+        # the worker writes data and exits 0
+        cpus(2)
+
+        def run_share(part, k, w, write):
+            os.write(write, data)
+            os._exit(0)
+
+        monkeypatch.setattr(genfun, "_run_share", run_share)
+        with pytest.raises(RuntimeError, match="share 1 of 2: worker sent no readable"):
+            genfun._shares(lambda k, w: 0, 7)
+        self.assert_no_child_left()
+
+    def test_share_zero_raising_still_reaps_every_worker(self, cpus):
+        cpus(3)
+
+        def part(k, w):
+            if not k:
+                raise ValueError("share 0 failed")
+            return k
+
+        with pytest.raises(ValueError, match="share 0 failed"):
+            genfun._shares(part, 7)
+        self.assert_no_child_left()
