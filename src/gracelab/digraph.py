@@ -174,39 +174,35 @@ def is_functional_tree(g: FunctionalDigraph) -> bool:
 # the fast paths they check.
 
 
-def tree_folds(rows: Sequence[Sequence[T]], op: Callable[[T, T], T]) -> Iterator[T]:
-    """Yield op(...op(op(rows[0][f(0)], rows[1][f(1)]), ...), rows[n-1][f(n-1)])
-    for every functional tree f on Z_n, n = len(rows), lexicographically in f.
-
-    The search assigns f(0), ..., f(n-2) in turn.  An assignment f(i) = v is
-    pruned when it adds a second loop, or when the path v, f(v), f(f(v)),
-    ... through assigned vertices returns to i (a cycle of length >= 2).
-    Every unpruned partial table extends to a tree, so the search has no
-    dead ends.  The paths are tracked as sets: reach[u], for the loop and
-    for each unassigned u, is the bitmask of the vertices whose path ends
-    at u, so the cycle test is one bit of reach[i].  The fold over the
-    assigned vertices is kept per depth, so each search node costs one op.
-    The last vertex is placed in one pass: with no loop yet it can only
-    take the loop; otherwise it takes exactly the vertices in the loop's
-    reach, in increasing order.
-    """
-    return _tree_folds(rows, op, (1 << len(rows)) - 1)
-
-
-def _tree_folds(
-    rows: Sequence[Sequence[T]], op: Callable[[T, T], T], first: int
+def tree_folds(
+    rows: Sequence[Sequence[T]], op: Callable[[T, T], T], first: int | None = None
 ) -> Iterator[T]:
-    """tree_folds over the trees whose f(0) is a bit of the bitmask first,
-    in the same order: the search tries only those values at vertex 0."""
+    """Yield op(...op(op(rows[0][f(0)], rows[1][f(1)]), ...), rows[n-1][f(n-1)])
+    for every functional tree f on Z_n, n = len(rows), whose f(0) is a bit
+    of the bitmask first (default: every value), lexicographically in f.
+
+    The search assigns f(0), ..., f(n-2) in turn, trying at vertex 0 only
+    the values in first.  An assignment f(i) = v is pruned when it adds a
+    second loop, or when the path v, f(v), f(f(v)), ... through assigned
+    vertices returns to i (a cycle of length >= 2).  Every unpruned partial
+    table extends to a tree, so the search has no dead ends.  The paths are
+    tracked as sets: reach[u], for the loop and for each unassigned u, is
+    the bitmask of the vertices whose path ends at u, so the cycle test is
+    one bit of reach[i].  The fold over the assigned vertices is kept per
+    depth, so each search node costs one op.  The last vertex is placed in
+    one pass: with no loop yet it can only take the loop; otherwise it
+    takes exactly the vertices in the loop's reach, in increasing order.
+    """
     n = len(rows)
     if n < 1:
         raise ValueError("need n >= 1")
+    full = (1 << n) - 1
+    first = full if first is None else first
     last = n - 1
     if not last:
         if first & 1:
             yield rows[0][0]
         return
-    full = (1 << n) - 1
     values = [0] * last
     reach = [1 << u for u in range(n)]
     left = [first] + [0] * (last - 1)  # bitmask of the values still to try

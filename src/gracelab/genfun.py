@@ -34,7 +34,7 @@ from functools import reduce
 from operator import add, mul
 from typing import Callable, NoReturn, Sequence, TypeVar
 
-from gracelab.digraph import _tree_folds
+from gracelab.digraph import tree_folds
 from gracelab.expansion import IdentityCheck
 # Unused here, but bench/test_bench.py checks that a traced pass restores it.
 from gracelab.digraph import is_functional_tree  # noqa: F401
@@ -239,14 +239,9 @@ def decode_exponent(e: int, base: int, n: int) -> tuple[int, ...]:
     return tuple(labels)
 
 
-def graceful_sequence_exponent(n: int, base: int) -> int:
-    """Exponent of the graceful sequence (0, 1, ..., n-1)."""
-    return encode_sequence(tuple(range(n)), base)
-
-
 def graceful_coefficient_F(n: int) -> int:
     """Number of gracefully labeled functional digraphs on Z_n, read off F."""
-    return compute_F(n).coefficient(graceful_sequence_exponent(n, n + 1))
+    return compute_F(n).coefficient(encode_sequence(range(n), n + 1))
 
 
 def _in_entry_ring(matrix: Sequence[Sequence[object]], poly: SparsePoly):
@@ -360,7 +355,7 @@ def compute_P_bruteforce(n: int) -> SparsePoly:
     rows = _label_powers(n, n)
 
     def part(k: int, w: int) -> dict[int, int]:
-        return dict(Counter(_tree_folds(rows, add, _f0_mask(k, w, n))))
+        return dict(Counter(tree_folds(rows, add, _f0_mask(k, w, n))))
 
     return _merged(_shares(part, n))
 
@@ -385,7 +380,7 @@ def tdmtt_check(matrix: Sequence[Sequence[int]]) -> IdentityCheck:
     n = len(matrix)
 
     def part(k: int, w: int) -> int:
-        return sum(_tree_folds(matrix, mul, _f0_mask(k, w, n)))
+        return sum(tree_folds(matrix, mul, _f0_mask(k, w, n)))
 
     right = sum(_shares(part, n))
     return IdentityCheck(left, right)

@@ -12,8 +12,8 @@ f - id: the signature of the label permutation |f - id| times
 conventions under which the two sides agree; its global sign epsilon is
 fixed at +1, and the check asserts equality under it with nothing fitted.
 The weaker per-tree sign reading (label-permutation signature alone) is
-computed too and reported, because it does not reproduce the determinant
-beyond n = 2.
+computed too, and whether it matches is reported, because it does not
+reproduce the determinant beyond n = 2.
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ __all__ = [
     "tree_sign",
     "whitty_check",
     "whitty_lhs",
-    "whitty_rhs",
-    "whitty_rhs_determinant_sign",
 ]
 
 T = TypeVar("T")
@@ -110,8 +108,11 @@ def tree_sign(g: FunctionalDigraph) -> int:
 
 
 def _signed_tree_sums(matrix: Sequence[Sequence[T]]) -> tuple[T, T]:
-    # One walk, both readings: (sign_factor sum, tree_sign sum).  The
-    # gracefully labeled functional trees rooted at 0 are the tables with
+    # Whitty's tree side, both readings in one walk: the sum over the
+    # gracefully labeled functional trees f rooted at 0 of
+    # prod A[min(i, f(i)), max(i, f(i))], signed once by sign_factor(f)
+    # (the label-signature reading) and once by tree_sign(f) (the reading
+    # the determinant side reproduces).  These trees are the tables with
     # f(0) = 0 and label multiset Z_n whose iterate collapses to a point.
     # Cell (i, j) is read once, from A[min(i, j), max(i, j)], as its
     # (exponent, coefficient) terms (an int c is c * x^0).  A tree's entry
@@ -133,19 +134,6 @@ def _signed_tree_sums(matrix: Sequence[Sequence[T]]) -> tuple[T, T]:
             label[e] += s * c
             descent[e] += s * parity * c
     return tuple(_in_entry_ring(matrix, SparsePoly(d)) for d in (label, descent))
-
-
-def whitty_rhs(matrix: Sequence[Sequence[T]]) -> T:
-    """Sum over gracefully labeled functional trees rooted at 0 of
-    sign_factor(f) * prod A[min(i, f(i)), max(i, f(i))] — the label-signature
-    reading of the signed sum."""
-    return _signed_tree_sums(matrix)[0]
-
-
-def whitty_rhs_determinant_sign(matrix: Sequence[Sequence[T]]) -> T:
-    """The same sum with tree_sign(f); this is the signed enumeration that
-    the determinant side reproduces exactly."""
-    return _signed_tree_sums(matrix)[1]
 
 
 def symbolic_matrix(n: int) -> tuple[tuple[SparsePoly, ...], ...]:
@@ -201,7 +189,7 @@ class WhittyCheck(
     namedtuple(
         "WhittyCheck",
         "lhs rhs equal_up_to_calibrated_sign calibration column_reversal_parity "
-        "rhs_label_signature_reading label_signature_reading_agrees",
+        "label_signature_reading_agrees",
     )
 ):
     __slots__ = ()
@@ -213,10 +201,11 @@ def whitty_check(matrix: Sequence[Sequence[T]]) -> WhittyCheck:
     lhs is the printed determinant side; rhs the descent-signed tree sum.
     Equality is asserted as lhs * (-1)^floor((n-1)/2) == rhs, the printed
     determinant read in label column order with epsilon = +1.  The
-    label-signature-only rhs reading is evaluated and reported.
+    label-signature-only reading of the tree sum is evaluated, and only
+    whether it matches lhs up to sign is kept.
     """
     lhs = whitty_lhs(matrix)
-    rhs_printed, rhs = _signed_tree_sums(matrix)
+    label_reading, rhs = _signed_tree_sums(matrix)
     parity = _column_reversal_parity(len(matrix))
     return WhittyCheck(
         lhs=lhs,
@@ -224,6 +213,5 @@ def whitty_check(matrix: Sequence[Sequence[T]]) -> WhittyCheck:
         equal_up_to_calibrated_sign=lhs * parity == rhs,
         calibration=CALIBRATION,
         column_reversal_parity=parity,
-        rhs_label_signature_reading=rhs_printed,
-        label_signature_reading_agrees=lhs in (rhs_printed, -rhs_printed),
+        label_signature_reading_agrees=lhs in (label_reading, -label_reading),
     )

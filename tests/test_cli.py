@@ -574,16 +574,16 @@ class TestClosedPipe:
     def test_reader_closes_after_one_line(self, fmt, first_line):
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "gracelab", "gammas", "--n", "12", "--format", fmt],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=env,
-        )
-        first = proc.stdout.readline()
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 0
+        ) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 0
         assert first == first_line
         assert err == b""
 

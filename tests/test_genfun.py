@@ -8,10 +8,10 @@ import pytest
 from gracelab import genfun
 from gracelab.digraph import (
     FunctionalDigraph,
-    _tree_folds,
     all_value_tables,
     functional_trees,
     is_gracefully_labeled,
+    tree_folds,
 )
 from gracelab.genfun import (
     build_F_matrix,
@@ -28,7 +28,6 @@ from gracelab.genfun import (
     encode_sequence,
     f_extremal_sequence,
     graceful_coefficient_F,
-    graceful_sequence_exponent,
     monomial_matrix,
     p_extremal_sequence,
     tdmtt_check,
@@ -232,7 +231,7 @@ class TestEncodeDecode:
 
     def test_graceful_closed_form(self):
         for n in range(1, 8):
-            assert graceful_sequence_exponent(n, n + 1) == ((n + 1) ** n - 1) // n
+            assert encode_sequence(range(n), n + 1) == ((n + 1) ** n - 1) // n
 
     def test_decode_inverts_encode(self):
         for n in range(1, 7):
@@ -476,7 +475,7 @@ class TestComputeP:
             if is_gracefully_labeled(FunctionalDigraph(values))
             and is_tree_table(values)
         )
-        e = graceful_sequence_exponent(n, n)
+        e = encode_sequence(range(n), n)
         assert compute_P_bruteforce(n).coefficient(e) == direct
 
 
@@ -628,7 +627,7 @@ class TestSplitScans:
         rows = [[(v,) for v in range(n)]] * n
         for w in range(1, n + 1):
             for k in range(w):
-                share = _tree_folds(rows, add, genfun._f0_mask(k, w, n))
+                share = tree_folds(rows, add, genfun._f0_mask(k, w, n))
                 assert list(share) == [t for t in trees if t[0] % w == k]
 
     @pytest.mark.parametrize("n", (1, 6))

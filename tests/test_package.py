@@ -42,3 +42,18 @@ def test_package_import_loads_no_module_and_exports_only_the_version():
         [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
     )
     assert json.loads(done.stdout) == {"loaded": [], "public": [], "version": "0.1.0"}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_binds_a_wrapper_of_a_kernel(name):
+    # each of these restated one call of a kernel its callers now make
+    # directly: tree_folds(rows, op, first), whitty._signed_tree_sums and
+    # encode_sequence(range(n), base)
+    module = importlib.import_module(f"gracelab.{name}")
+    wrappers = {
+        "_tree_folds",
+        "whitty_rhs",
+        "whitty_rhs_determinant_sign",
+        "graceful_sequence_exponent",
+    }
+    assert wrappers & set(vars(module)) == set()

@@ -13,14 +13,14 @@ from gracelab.polyring import SparsePoly
 from gracelab.seeds import integer_matrix
 from gracelab.whitty import (
     CALIBRATION,
+    WhittyCheck,
+    _signed_tree_sums,
     build_whitty,
     sign_factor,
     symbolic_matrix,
     tree_sign,
     whitty_check,
     whitty_lhs,
-    whitty_rhs,
-    whitty_rhs_determinant_sign,
 )
 
 
@@ -142,28 +142,29 @@ class TestSignFactor:
 
 class TestRhs:
     def test_n1_is_corner_entry(self):
-        assert whitty_rhs([[7]]) == 7
+        assert _signed_tree_sums([[7]])[0] == 7
 
     def test_n2_single_tree(self):
         a = integer_entries(2)
         # unique gracefully labeled tree rooted at 0 is f = (0, 0), sign +1
-        assert whitty_rhs(a) == a[0][0] * a[0][1]
+        assert _signed_tree_sums(a)[0] == a[0][0] * a[0][1]
 
     def test_n3_all_ones_counts_trees_with_sign(self):
         # both rooted graceful trees have identity label permutation
-        assert whitty_rhs([[1] * 3] * 3) == 2
+        assert _signed_tree_sums([[1] * 3] * 3)[0] == 2
 
     def test_term_count_matches_tree_count(self):
         for n in range(2, 6):
-            rhs = whitty_rhs_determinant_sign(symbolic_matrix(n))
+            rhs = _signed_tree_sums(symbolic_matrix(n))[1]
             assert rhs.term_count() == len(rooted_graceful_trees(n))
 
     def test_int_entries_give_ints(self):
         a = integer_matrix(5, 1, 1, 100)
-        assert type(whitty_rhs(a)) is int
-        assert type(whitty_rhs_determinant_sign(a)) is int
+        label, descent = _signed_tree_sums(a)
+        assert type(label) is int
+        assert type(descent) is int
         assert type(whitty_lhs(a)) is int
-        assert type(whitty_rhs(symbolic_matrix(5))) is SparsePoly
+        assert type(_signed_tree_sums(symbolic_matrix(5))[0]) is SparsePoly
 
     def test_each_reading_copies_no_running_total(self, monkeypatch):
         # each reading is one sum_of_products: no partial sum is ever copied
@@ -175,7 +176,7 @@ class TestRhs:
             return plus(self, other, sign)
 
         monkeypatch.setattr(SparsePoly, "_plus", counted)
-        whitty_rhs(symbolic_matrix(7))
+        _signed_tree_sums(symbolic_matrix(7))
         assert calls == []
 
     def test_one_sign_factor_per_tree(self, monkeypatch):
@@ -188,7 +189,7 @@ class TestRhs:
             return sign_factor(g)
 
         monkeypatch.setattr(whitty, "sign_factor", counted)
-        whitty_rhs(symbolic_matrix(6))
+        _signed_tree_sums(symbolic_matrix(6))
         assert sorted(calls) == sorted(g.values for g in rooted_graceful_trees(6))
 
     def test_no_polynomial_product_per_tree(self, monkeypatch):
@@ -204,7 +205,7 @@ class TestRhs:
             return sum_of_products(cls, terms)
 
         monkeypatch.setattr(SparsePoly, "sum_of_products", classmethod(counted))
-        whitty_rhs(symbolic_matrix(n))
+        _signed_tree_sums(symbolic_matrix(n))
         assert len(calls) <= n * n
 
     @pytest.mark.parametrize("n", range(2, 7))
@@ -221,14 +222,11 @@ class TestRhs:
             label += term * sign_factor(g)
             descent += term * tree_sign(g)
         assert label and descent
-        assert whitty_rhs(matrix) == label
-        assert whitty_rhs_determinant_sign(matrix) == descent
+        assert _signed_tree_sums(matrix) == (label, descent)
 
     @pytest.mark.parametrize("n, trees", [(9, 4020), (10, 23576)])
     def test_symbolic_term_counts(self, n, trees):
         # one signed monomial per gracefully labeled tree rooted at 0
-        from gracelab.whitty import _signed_tree_sums
-
         for reading in _signed_tree_sums(symbolic_matrix(n)):
             assert reading.term_count() == trees
             assert all(c in (-1, 1) for _, c in reading.items())
@@ -296,10 +294,20 @@ class TestWhittyCheck:
 
         matrix = symbolic_matrix(6)
         lhs = whitty_lhs(matrix).scale(_column_reversal_parity(6))
-        rhs = whitty_rhs_determinant_sign(matrix)
+        rhs = _signed_tree_sums(matrix)[1]
         assert lhs == rhs
         assert sorted(c for _, c in lhs.items()) == sorted(
             c for _, c in rhs.items()
+        )
+
+    def test_keeps_only_whether_the_label_signature_reading_agrees(self):
+        assert WhittyCheck._fields == (
+            "lhs",
+            "rhs",
+            "equal_up_to_calibrated_sign",
+            "calibration",
+            "column_reversal_parity",
+            "label_signature_reading_agrees",
         )
 
     def test_label_signature_reading_only_matches_at_n2(self):
@@ -316,7 +324,7 @@ class TestWhittyCheck:
 
         matrix = symbolic_matrix(7)
         lhs = whitty_lhs(matrix).scale(_column_reversal_parity(7))
-        assert lhs == whitty_rhs_determinant_sign(matrix)
+        assert lhs == _signed_tree_sums(matrix)[1]
         assert lhs.term_count() == len(rooted_graceful_trees(7)) == 164
 
     @pytest.mark.parametrize("n", range(2, 7))
