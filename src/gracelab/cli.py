@@ -357,7 +357,7 @@ def _cmd_whitty(args) -> tuple[bool, dict | list[str]]:
             "lhs": render(check.lhs),
             "rhs": render(check.rhs),
             "column_reversal_parity": check.column_reversal_parity,
-            "calibration": check.calibration._asdict(),
+            "calibration": whitty_mod.CALIBRATION._asdict(),
             "label_signature_reading_agrees": check.label_signature_reading_agrees,
             "status": "pass" if ok else "fail",
         }
@@ -365,7 +365,7 @@ def _cmd_whitty(args) -> tuple[bool, dict | list[str]]:
         f"lhs: {render(check.lhs)}",
         f"rhs: {render(check.rhs)}",
         f"column_reversal_parity: {check.column_reversal_parity:+d}",
-        f"epsilon: {check.calibration.epsilon:+d}",
+        f"epsilon: {whitty_mod.CALIBRATION.epsilon:+d}",
         f"pass: {_bool(ok)}",
         f"label_signature_reading_agrees: {_bool(check.label_signature_reading_agrees)}",
     ]

@@ -192,11 +192,9 @@ def realizes(g: FunctionalDigraph, target: Sequence[int]) -> bool:
     return next(_hits(g.values, target), None) is not None
 
 
-class ConjectureReport(
-    namedtuple("ConjectureReport", "n classes missing violations", defaults=((),))
-):
+class ConjectureReport(namedtuple("ConjectureReport", "n classes missing violations")):
     """The TreeClasses at n, the (representative, sequence) pairs missing, and
-    the failed invariants of the class list (none by default)."""
+    the failed invariants of the class list."""
 
     __slots__ = ()
 

@@ -63,27 +63,6 @@ class Permutation(namedtuple("Permutation", "values")):
             inv[v] = i
         return Permutation(tuple(inv))
 
-    def sign(self) -> int:
-        """Signature: +1 for even permutations, -1 for odd ones."""
-        return _cycle_sign(self.values)
-
-
-def _cycle_sign(values: Sequence[int]) -> int:
-    """Signature of the permutation with image list ``values``, taken by
-    walking each cycle once: a cycle of length k contributes (-1)^(k-1).
-    ``values`` is not validated."""
-    seen = [False] * len(values)
-    sign = 1
-    for start, v in enumerate(values):
-        if seen[start]:
-            continue
-        seen[start] = True
-        while v != start:
-            seen[v] = True
-            v = values[v]
-            sign = -sign
-    return sign
-
 
 class FunctionalDigraph(namedtuple("FunctionalDigraph", "values")):
     """A function on Z_n given by its value table; edges are (i, f(i))."""

@@ -38,7 +38,6 @@ __all__ = [
     "sp_sum_identity_check",
     "tau_bounds",
     "tau_bruteforce",
-    "valid_gamma_tuples",
     "valid_gammas",
 ]
 
@@ -105,11 +104,8 @@ def enumerate_valid_gammas_by_filter(n: int) -> list[Permutation]:
     """Reference enumeration: filter all of S_n; the test oracle."""
     if n < 2:
         raise ValueError("need n >= 2")
-    out = []
-    for rest in itertools.permutations(range(1, n)):
-        if all(v <= i or v < n - i for i, v in enumerate(rest, start=1)):
-            out.append(Permutation((0,) + rest))
-    return out
+    perms = (Permutation((0,) + rest) for rest in itertools.permutations(range(1, n)))
+    return list(filter(is_valid_gamma, perms))
 
 
 def _values(mask: int) -> list[int]:
@@ -175,21 +171,15 @@ def valid_gammas(n: int, pieces: Sequence[T]) -> list[T]:
     return out
 
 
-def valid_gamma_tuples(n: int) -> list[tuple[int, ...]]:
-    """Image tuples of the valid gammas, in ascending order: valid_gammas
-    over one-tuples, each checked to be a permutation of Z_n."""
-    return valid_gammas(n, [(v,) for v in range(n)])
-
-
 def enumerate_valid_gammas(n: int) -> list[Permutation]:
     """Enumerate the valid gammas as Permutations, in ascending order.
 
-    A wrapper over the one enumeration, valid_gammas: every image tuple is
-    checked to be a permutation of Z_n (ValueError otherwise) before any
-    Permutation is built.  The CLI lists the gammas as text from the same
-    kernel.
+    A wrapper over the one enumeration, valid_gammas over one-tuples: every
+    image tuple is checked to be a permutation of Z_n (ValueError otherwise)
+    before any Permutation is built.  The CLI lists the gammas as text from
+    the same kernel.
     """
-    return [Permutation(values) for values in valid_gamma_tuples(n)]
+    return [Permutation(values) for values in valid_gammas(n, [(v,) for v in range(n)])]
 
 
 def count_valid_gammas(n: int) -> int:
@@ -243,16 +233,18 @@ def enumerate_sp(n: int) -> list[SignedPermutation]:
     """All signed permutations per the invariants above, sorted by image tuple.
 
     For i >= 1, |g(i)| is a valid gamma and g(i) one of its in-range signed
-    steps, so the list is valid_gamma_tuples(n) times the sign choices at
-    each index; g(-i) = -g(i) fills the lower half.
+    steps, so the list is enumerate_valid_gammas(n) times the sign choices
+    at each index; g(-i) = -g(i) fills the lower half.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if n == 1:
         return [SignedPermutation((0,))]
     upper = []  # (g(1), ..., g(n-1))
-    for gamma in valid_gamma_tuples(n):
-        steps = [[s for s in (m, -m) if 0 <= i + s < n] for i, m in enumerate(gamma)]
+    for gamma in enumerate_valid_gammas(n):
+        steps = [
+            [s for s in (m, -m) if 0 <= i + s < n] for i, m in enumerate(gamma.values)
+        ]
         upper.extend(itertools.product(*steps[1:]))
     return sorted(
         SignedPermutation(tuple(-g for g in reversed(up)) + (0,) + up) for up in upper

@@ -8,7 +8,7 @@ functional trees rooted at 0.
 
 Each surviving tree term carries the sign of the signed permutation
 f - id: the signature of the label permutation |f - id| times
-(-1)^(number of descents f(i) < i).  The calibration record documents the
+(-1)^(number of descents f(i) < i).  The CALIBRATION record documents the
 conventions under which the two sides agree; its global sign epsilon is
 fixed at +1, and the check asserts equality under it with nothing fitted.
 The weaker per-tree sign reading (label-permutation signature alone) is
@@ -25,7 +25,6 @@ from typing import Sequence, TypeVar
 
 from gracelab.digraph import (
     FunctionalDigraph,
-    _cycle_sign,
     graceful_tables,
     is_functional_tree,
     is_gracefully_labeled,
@@ -89,6 +88,23 @@ def whitty_lhs(matrix: Sequence[Sequence[T]]) -> T:
     return matrix[0][0] * det_via_minor_expansion(minor)
 
 
+def _cycle_sign(values: Sequence[int]) -> int:
+    """Signature of the permutation with image list ``values``, taken by
+    walking each cycle once: a cycle of length k contributes (-1)^(k-1).
+    ``values`` is not validated."""
+    seen = [False] * len(values)
+    sign = 1
+    for start, v in enumerate(values):
+        if seen[start]:
+            continue
+        seen[start] = True
+        while v != start:
+            seen[v] = True
+            v = values[v]
+            sign = -sign
+    return sign
+
+
 def sign_factor(g: FunctionalDigraph) -> int:
     """Signature of the label permutation i -> |f(i) - i|."""
     if not is_gracefully_labeled(g):
@@ -113,7 +129,9 @@ def _signed_tree_sums(matrix: Sequence[Sequence[T]]) -> tuple[T, T]:
     # prod A[min(i, f(i)), max(i, f(i))], signed once by sign_factor(f)
     # (the label-signature reading) and once by tree_sign(f) (the reading
     # the determinant side reproduces).  These trees are the tables with
-    # f(0) = 0 and label multiset Z_n whose iterate collapses to a point.
+    # f(0) = 0 and label multiset Z_n whose iterate collapses to a point;
+    # graceful_tables built them so, so sign_factor's check is not repeated
+    # and each tree is signed by the cycle walk of its labels alone.
     # Cell (i, j) is read once, from A[min(i, j), max(i, j)], as its
     # (exponent, coefficient) terms (an int c is c * x^0).  A tree's entry
     # product is expanded one term per entry; each expanded term is one
@@ -127,7 +145,8 @@ def _signed_tree_sums(matrix: Sequence[Sequence[T]]) -> tuple[T, T]:
     label, descent = Counter(), Counter()
     tables = map(FunctionalDigraph, graceful_tables(n, fix0=True))
     for g in filter(is_functional_tree, tables):
-        s, parity = sign_factor(g), _descent_parity(g.values)
+        s = _cycle_sign([abs(v - i) for i, v in enumerate(g.values)])
+        parity = _descent_parity(g.values)
         for t in product(*[row[v] for row, v in zip(cells, g.values)]):
             exponents, coefficients = zip(*t)
             e, c = sum(exponents), math.prod(coefficients)
@@ -188,7 +207,7 @@ CALIBRATION = Calibration(
 class WhittyCheck(
     namedtuple(
         "WhittyCheck",
-        "lhs rhs equal_up_to_calibrated_sign calibration column_reversal_parity "
+        "lhs rhs equal_up_to_calibrated_sign column_reversal_parity "
         "label_signature_reading_agrees",
     )
 ):
@@ -211,7 +230,6 @@ def whitty_check(matrix: Sequence[Sequence[T]]) -> WhittyCheck:
         lhs=lhs,
         rhs=rhs,
         equal_up_to_calibrated_sign=lhs * parity == rhs,
-        calibration=CALIBRATION,
         column_reversal_parity=parity,
         label_signature_reading_agrees=lhs in (label_reading, -label_reading),
     )

@@ -129,10 +129,10 @@ class TestTermRenderers:
         from argparse import Namespace
 
         from gracelab.cli import _cmd_gammas, _document
-        from gracelab.expansion import valid_gamma_tuples
+        from gracelab.expansion import enumerate_valid_gammas
 
         agree, doc = _cmd_gammas(Namespace(n=n, format="structured", limit=None))
-        gammas = [",".join(map(str, g)) for g in valid_gamma_tuples(n)]
+        gammas = [g.format() for g in enumerate_valid_gammas(n)]
         plain = {**doc, "gammas": gammas}
         assert agree and "".join(_document(doc)) == json.dumps(plain, indent=2) + "\n"
 

@@ -622,20 +622,5 @@ class TestPermutation:
         p = Permutation((2, 0, 1))
         assert p.inverse().values == (1, 2, 0)
 
-    def test_sign_of_identity_and_swap(self):
-        assert Permutation.identity(4).sign() == 1
-        assert Permutation((1, 0, 2, 3)).sign() == -1
-
-    def test_sign_multiplicativity(self):
-        # signature agrees with inversion-count parity on all of S_4
-        for s in itertools.permutations(range(4)):
-            inversions = sum(
-                1
-                for i in range(4)
-                for j in range(i + 1, 4)
-                if s[i] > s[j]
-            )
-            assert Permutation(s).sign() == (-1) ** inversions
-
     def test_format(self):
         assert Permutation((0, 2, 1)).format() == "0,2,1"

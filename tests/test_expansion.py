@@ -23,7 +23,6 @@ from gracelab.expansion import (
     sp_sum_identity_check,
     tau_bounds,
     tau_bruteforce,
-    valid_gamma_tuples,
     valid_gammas,
 )
 from gracelab.seeds import integer_matrix
@@ -165,7 +164,7 @@ class TestEnumerateValidGammas:
     @pytest.mark.parametrize("n", range(2, 10))
     def test_tuples_match_filter_oracle_in_order(self, n):
         oracle = enumerate_valid_gammas_by_filter(n)
-        tuples = valid_gamma_tuples(n)
+        tuples = valid_gammas(n, [(v,) for v in range(n)])
         assert tuples == [g.values for g in oracle]
         assert all(is_valid_gamma(Permutation(values)) for values in tuples)
         lines = valid_gammas(n, ["0", *(",%d" % v for v in range(1, n))])
@@ -176,7 +175,7 @@ class TestEnumerateValidGammas:
         values = expansion._values
         monkeypatch.setattr(expansion, "_values", lambda mask: values(mask | 0b10))
         with pytest.raises(ValueError, match=r"not a permutation of Z_5: \(0, 1, 1"):
-            valid_gamma_tuples(5)
+            enumerate_valid_gammas(5)
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_count_matches_enumeration(self, n):
@@ -244,6 +243,26 @@ class TestSignedPermutations:
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError, match="not a bijection"):
             SignedPermutation((0, 0, 0))
+
+    def test_gammas_come_only_from_enumerate_valid_gammas(self, monkeypatch):
+        # one call of the wrapper, and the kernel runs only inside it
+        n = 6
+        expected = enumerate_sp(n)
+        calls = []
+        kernel, wrapper = expansion.valid_gammas, expansion.enumerate_valid_gammas
+
+        def counted_kernel(*args):
+            calls.append("valid_gammas")
+            return kernel(*args)
+
+        def counted_wrapper(m):
+            calls.append(("enumerate_valid_gammas", m))
+            return wrapper(m)
+
+        monkeypatch.setattr(expansion, "valid_gammas", counted_kernel)
+        monkeypatch.setattr(expansion, "enumerate_valid_gammas", counted_wrapper)
+        assert enumerate_sp(n) == expected
+        assert calls == [("enumerate_valid_gammas", n), "valid_gammas"]
 
     def test_n1_is_the_zero_map_and_n0_is_rejected(self):
         assert enumerate_sp(1) == [SignedPermutation((0,))]

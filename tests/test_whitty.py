@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -14,6 +15,7 @@ from gracelab.seeds import integer_matrix
 from gracelab.whitty import (
     CALIBRATION,
     WhittyCheck,
+    _cycle_sign,
     _signed_tree_sums,
     build_whitty,
     sign_factor,
@@ -104,6 +106,17 @@ class TestBuild:
 
 
 class TestSignFactor:
+    def test_sign_of_identity_and_swap(self):
+        assert _cycle_sign((0, 1, 2, 3)) == 1
+        assert _cycle_sign((1, 0, 2, 3)) == -1
+
+    def test_cycle_sign_is_the_inversion_parity(self):
+        # the cycle walk agrees with inversion-count parity on all of S_1..S_5
+        for n in range(1, 6):
+            for s in itertools.permutations(range(n)):
+                inversions = sum(1 for j in range(n) for i in range(j) if s[i] > s[j])
+                assert _cycle_sign(s) == (-1) ** inversions
+
     def test_star2(self):
         assert sign_factor(FunctionalDigraph((0, 0))) == 1
 
@@ -180,17 +193,25 @@ class TestRhs:
         assert calls == []
 
     def test_one_sign_factor_per_tree(self, monkeypatch):
+        # one cycle walk per tree, on that tree's label permutation; the
+        # gracefulness check of sign_factor is not repeated
         from gracelab import whitty
 
         calls = []
 
-        def counted(g):
-            calls.append(g.values)
-            return sign_factor(g)
+        def counted(values):
+            calls.append(tuple(values))
+            return _cycle_sign(values)
 
-        monkeypatch.setattr(whitty, "sign_factor", counted)
+        def refused(g):
+            raise AssertionError("sign_factor called by the tree walk")
+
+        monkeypatch.setattr(whitty, "_cycle_sign", counted)
+        monkeypatch.setattr(whitty, "sign_factor", refused)
         _signed_tree_sums(symbolic_matrix(6))
-        assert sorted(calls) == sorted(g.values for g in rooted_graceful_trees(6))
+        trees = rooted_graceful_trees(6)
+        labels = [tuple(abs(v - i) for i, v in enumerate(g.values)) for g in trees]
+        assert sorted(calls) == sorted(labels)
 
     def test_no_polynomial_product_per_tree(self, monkeypatch):
         # each cell is lifted to its terms once; a tree's entry product is
@@ -233,9 +254,15 @@ class TestRhs:
 
 
 class TestWhittyCheck:
-    def test_calibration_is_fixed_and_positive(self):
+    def test_calibration_is_fixed_and_positive(self, capsys):
+        # the check record carries no copy of the constant the CLI writes
+        import json
+
+        from gracelab import cli
+
         assert CALIBRATION.epsilon == 1
-        assert whitty_check(integer_entries(3)).calibration is CALIBRATION
+        assert cli.run(["whitty", "--n", "3", "--format", "structured"]) == 0
+        assert json.loads(capsys.readouterr().out)["calibration"] == CALIBRATION._asdict()
 
     def test_negated_determinant_fails(self, monkeypatch, capsys):
         # epsilon is not fitted, so a globally negated determinant side
@@ -281,7 +308,6 @@ class TestWhittyCheck:
     def test_numeric_matrices(self, n, seed):
         check = whitty_check(integer_matrix(n, seed, 1, 100))
         assert check.equal_up_to_calibrated_sign
-        assert check.calibration.epsilon == 1
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_symbolic_exact(self, n):
@@ -305,7 +331,6 @@ class TestWhittyCheck:
             "lhs",
             "rhs",
             "equal_up_to_calibrated_sign",
-            "calibration",
             "column_reversal_parity",
             "label_signature_reading_agrees",
         )
