@@ -68,12 +68,6 @@ def _orbit(values: tuple[int, ...]) -> set[tuple[int, ...]]:
     return set(conjugate_tables(values))
 
 
-def _sequences(orbit: set[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
-    return frozenset(
-        tuple(sorted(abs(v - i) for i, v in enumerate(table))) for table in orbit
-    )
-
-
 def tree_classes(n: int) -> list[TreeClass]:
     """One canonical representative per conjugation orbit of functional trees.
 
@@ -101,7 +95,10 @@ def class_sequences(t: TreeClass) -> frozenset[tuple[int, ...]]:
 
     Oracle only, like tree_classes: the CLI sweep decides each sequence
     with realizes instead."""
-    return _sequences(_orbit(t.representative.values))
+    return frozenset(
+        tuple(sorted(abs(v - i) for i, v in enumerate(table)))
+        for table in _orbit(t.representative.values)
+    )
 
 
 # --- shape sweep ---------------------------------------------------------------
@@ -192,7 +189,7 @@ def realizes(g: FunctionalDigraph, target: Sequence[int]) -> bool:
     return next(_hits(g.values, target), None) is not None
 
 
-class ConjectureReport(namedtuple("ConjectureReport", "n classes missing violations")):
+class ConjectureReport(namedtuple("ConjectureReport", "classes missing violations")):
     """The TreeClasses at n, the (representative, sequence) pairs missing, and
     the failed invariants of the class list."""
 
@@ -233,6 +230,4 @@ def check_conjecture_42(n: int) -> ConjectureReport:
         for seq in stars
         if not realizes(t.representative, seq)
     )
-    return ConjectureReport(
-        n=n, classes=tuple(classes), missing=missing, violations=_violations(n, classes)
-    )
+    return ConjectureReport(tuple(classes), missing, _violations(n, classes))

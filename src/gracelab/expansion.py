@@ -298,13 +298,14 @@ def tau_bruteforce(n: int) -> int:
     """Count gracefully labeled value tables with no isolated vertex.
 
     A vertex v is isolated when f(v) = v and no other vertex maps to v;
-    a gracefully labeled table has exactly one fixed point, so only that
-    vertex can be isolated.  The tables come from the label-bitmask search
-    digraph.graceful_tables, not from the gamma expansion.
+    a gracefully labeled table has exactly one fixed point c, and c is
+    isolated exactly when it is its own only preimage, values.count(c) == 1.
+    The tables come from the label-bitmask search digraph.graceful_tables,
+    not from the gamma expansion.
     """
     count = 0
     for values in graceful_tables(n):
         fixed = next(i for i, v in enumerate(values) if v == i)
-        if any(v == fixed for i, v in enumerate(values) if i != fixed):
+        if values.count(fixed) > 1:
             count += 1
     return count

@@ -149,14 +149,4 @@ class SparsePoly:
         return [[str(e), str(c)] for e, c in self.items()]
 
     def __repr__(self) -> str:
-        if not self._terms:
-            return "SparsePoly(0)"
-        bits = []
-        for e, c in self.items():
-            if e == 0:
-                bits.append(str(c))
-            elif c == 1:
-                bits.append(f"x^{e}")
-            else:
-                bits.append(f"{c}*x^{e}")
-        return "SparsePoly(" + " + ".join(bits) + ")"
+        return f"SparsePoly({dict(self.items())!r})"

@@ -5,6 +5,7 @@ import pytest
 
 from gracelab import conjecture, digraph
 from gracelab.conjecture import (
+    ConjectureReport,
     TreeClass,
     _orbit,
     check_conjecture_42,
@@ -129,6 +130,10 @@ class TestConjectureSweep:
     def test_class_bookkeeping(self, n):
         report = check_conjecture_42(n)
         assert report.class_size_total == n ** (n - 1)
+
+    def test_report_keeps_no_n(self):
+        # the CLI writes the n it was given; the report carries only results
+        assert ConjectureReport._fields == ("classes", "missing", "violations")
 
     @pytest.mark.parametrize("n", (3, 4, 5))
     def test_empty_report_implies_all_classes_graceful(self, n):

@@ -306,8 +306,19 @@ class TestTau:
         assert tau_bounds(n) == expected
 
     def test_small_counts(self):
-        assert tau_bruteforce(2) == 2
-        assert tau_bruteforce(3) == 6
+        taus = [2, 6, 16, 60, 256, 1336, 7744, 50612]
+        assert [tau_bruteforce(n) for n in range(2, 10)] == taus
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_matches_the_definition(self, n):
+        # gracefully labeled, and the fixed point has another preimage
+        expected = 0
+        for values in all_value_tables(n):
+            if is_gracefully_labeled(FunctionalDigraph(values)):
+                fixed = next(i for i, v in enumerate(values) if v == i)
+                if any(v == fixed and i != fixed for i, v in enumerate(values)):
+                    expected += 1
+        assert tau_bruteforce(n) == expected
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_brute_force_within_bounds(self, n):

@@ -51,9 +51,11 @@ def test_package_import_loads_no_module_and_exports_only_the_version():
 def test_no_module_binds_a_wrapper_of_a_kernel(name):
     # each of these restated one call of a kernel its callers now make
     # directly: tree_folds(rows, op, first), whitty._signed_tree_sums,
-    # encode_sequence(range(n), base) and enumerate_valid_gammas
+    # encode_sequence(range(n), base), enumerate_valid_gammas and the
+    # frozenset that class_sequences builds from _orbit
     module = importlib.import_module(f"gracelab.{name}")
     wrappers = {
+        "_sequences",
         "_tree_folds",
         "whitty_rhs",
         "whitty_rhs_determinant_sign",

@@ -160,15 +160,19 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "poly, text",
         [
-            (SparsePoly.zero(), "SparsePoly(0)"),
-            (SparsePoly.monomial(0, -3), "SparsePoly(-3)"),
-            (SparsePoly.monomial(4), "SparsePoly(x^4)"),
-            (poly_of((0, 5), (1, 1), (3, -2)), "SparsePoly(5 + x^1 + -2*x^3)"),
+            (SparsePoly.zero(), "SparsePoly({})"),
+            (SparsePoly.monomial(0, -3), "SparsePoly({0: -3})"),
+            (SparsePoly.monomial(4), "SparsePoly({4: 1})"),
+            (poly_of((0, 5), (1, 1), (3, -2)), "SparsePoly({0: 5, 1: 1, 3: -2})"),
         ],
         ids=["zero", "constant", "monomial", "mixed"],
     )
     def test_repr(self, poly, text):
         assert repr(poly) == text
+
+    @given(small_polys)
+    def test_repr_is_the_constructor_call(self, p):
+        assert eval(repr(p), {"SparsePoly": SparsePoly}) == p
 
 
 class TestNonPolynomialOperands:
