@@ -17,22 +17,19 @@ also Toeplitz, so the Laplacian commutes with the reversal i -> n-1-i, and
 that cofactor splits into two determinants of half the size (compute_P).
 
 The three brute-force scans (compute_F_bruteforce, compute_P_bruteforce and
-the tree side of tdmtt_check) split by the value of f(0) from n = 7 on:
-the calling process takes one share and forked workers, one per further
-usable CPU, take the others (_shares).  Results are combined exactly, in a
-fixed order, so they never depend on the number of CPUs.
+the tree side of tdmtt_check) each run in the calling process, with no
+workers: at n = 7 a whole scan takes only 40-90 ms, and a split across
+forked workers made no benchmark workload faster.
 """
 
 from __future__ import annotations
 
 import itertools
-import marshal
 import math
-import os
 from collections import Counter, namedtuple
 from functools import reduce
 from operator import add, mul
-from typing import Callable, NoReturn, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 from gracelab.digraph import tree_folds
 from gracelab.expansion import IdentityCheck
@@ -103,97 +100,6 @@ def _label_powers(n: int, base: int) -> list[list[int]]:
     return [[base ** abs(v - i) for v in range(n)] for i in range(n)]
 
 
-# --- brute-force scans split by f(0) ----------------------------------------
-#
-# Each oracle scan below is cut into w shares, share k holding the tables
-# with f(0) = k (mod w), run side by side by _shares.  The results are
-# added up exactly, in share order, so no result depends on w; and the
-# split cuts only the enumeration space, so each oracle still shares
-# nothing with its fast path.
-
-# A fork round trip costs a few milliseconds, so only a scan of at least
-# about 10^5 tables (n^(n-1) at n = 7) is split.
-_SPLIT_FROM_N = 7
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _shares(part: Callable[[int, int], T], n: int) -> list[T]:
-    """[part(k, w) for k in range(w)], computed side by side: share 0 in
-    this process, each other share in a forked child.
-
-    w = min(usable CPUs, n), or 1 below n = _SPLIT_FROM_N or without
-    os.fork.  A share's result must be an int or a plain dict of int to
-    int, which marshal writes (it refuses a Counter).  Every child is
-    reaped, its pipe read to the end first, even when share 0 raises.  A
-    child that fails, or sends bytes that do not unmarshal, raises
-    RuntimeError here.
-    """
-    w = min(_usable_cpus(), n) if n >= _SPLIT_FROM_N and hasattr(os, "fork") else 1
-    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
-    try:
-        for k in range(1, w):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
-            if not pid:
-                _run_share(part, k, w, write)
-            os.close(write)
-            children.append((pid, read))
-        results = [part(0, w)]
-    finally:
-        sent = [_reap(pid, read) for pid, read in children]
-    for k, (status, data) in enumerate(sent, 1):
-        if status:
-            raise RuntimeError(f"share {k} of {w}: worker exited with status {status}")
-        try:
-            results.append(marshal.loads(data))
-        except (EOFError, ValueError, TypeError):
-            raise RuntimeError(f"share {k} of {w}: worker sent no readable result") from None
-    return results
-
-
-def _run_share(part: Callable[[int, int], object], k: int, w: int, write: int) -> NoReturn:
-    # In the child: exit status 0 once the result is written, 1 on any
-    # exception.  os._exit never returns into the caller's code and never
-    # flushes the stdio the child inherited.
-    status = 1
-    try:
-        data = marshal.dumps(part(k, w))
-        with open(write, "wb") as pipe:
-            pipe.write(data)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _reap(pid: int, read: int) -> tuple[int, bytes]:
-    """A child's exit status and what it wrote, read to the end first so
-    that a child blocked on a full pipe can finish."""
-    with open(read, "rb") as pipe:
-        data = pipe.read()
-    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), data
-
-
-def _merged(counts: list[dict[int, int]]) -> SparsePoly:
-    # SparsePoly adds the coefficients of repeated exponents
-    return SparsePoly([term for share in counts for term in share.items()])
-
-
-def _f0_mask(k: int, w: int, n: int) -> int:
-    """Bitmask of the f(0) values of share k of w: k, k + w, ... below n."""
-    return sum(1 << v for v in range(k, n, w))
-
-
 def compute_F_bruteforce(n: int) -> SparsePoly:
     """Oracle: scan all n^n functions and sum their label-sequence monomials.
 
@@ -202,18 +108,12 @@ def compute_F_bruteforce(n: int) -> SparsePoly:
     choice is that function's exponent.  The rows are split at n // 2:
     each head sum (a choice of f(0), ..., f(n//2 - 1)) is added to every
     tail sum, one addition per function, and one Counter counts the
-    exponents as they come.  Share k of the scan (_shares) takes only the
-    first-row terms f(0) = k, k + w, ...
+    exponents as they come.
     """
     rows = _label_powers(n, n + 1)
-
-    def part(k: int, w: int) -> dict[int, int]:
-        share = [rows[0][k::w], *rows[1:]]
-        heads = map(sum, itertools.product(*share[: n // 2]))
-        tails = map(sum, itertools.product(*share[n // 2 :]))
-        return dict(Counter(itertools.starmap(add, itertools.product(heads, tails))))
-
-    return _merged(_shares(part, n))
+    heads = map(sum, itertools.product(*rows[: n // 2]))
+    tails = map(sum, itertools.product(*rows[n // 2 :]))
+    return SparsePoly(Counter(itertools.starmap(add, itertools.product(heads, tails))))
 
 
 def encode_sequence(labels: Sequence[int], base: int) -> int:
@@ -349,15 +249,9 @@ def compute_P_bruteforce(n: int) -> SparsePoly:
 
     The trees come from the pruned search digraph.tree_folds, which uses
     only the cycle/loop definition of a tree and adds up each tree's edge
-    terms as it goes; share k (_shares) searches the trees with f(0) = k,
-    k + w, ...
+    terms as it goes.
     """
-    rows = _label_powers(n, n)
-
-    def part(k: int, w: int) -> dict[int, int]:
-        return dict(Counter(tree_folds(rows, add, _f0_mask(k, w, n))))
-
-    return _merged(_shares(part, n))
+    return SparsePoly(Counter(tree_folds(_label_powers(n, n), add)))
 
 
 def tdmtt_check(matrix: Sequence[Sequence[int]]) -> IdentityCheck:
@@ -370,20 +264,13 @@ def tdmtt_check(matrix: Sequence[Sequence[int]]) -> IdentityCheck:
             gives the sum as det of L with column 0 replaced by the
             diagonal A[0][0], ..., A[n-1][n-1];
     right = sum over functional trees f of prod_i A[i, f(i)], enumerated
-            by the pruned search digraph.tree_folds, split by f(0) as the
-            tree oracle is (_shares).
+            by the pruned search digraph.tree_folds.
     """
     laplacian = _row_sum_laplacian(matrix)
     left = det_via_minor_expansion(
         [[matrix[i][i], *row[1:]] for i, row in enumerate(laplacian)]
     )
-    n = len(matrix)
-
-    def part(k: int, w: int) -> int:
-        return sum(tree_folds(matrix, mul, _f0_mask(k, w, n)))
-
-    right = sum(_shares(part, n))
-    return IdentityCheck(left, right)
+    return IdentityCheck(left, sum(tree_folds(matrix, mul)))
 
 
 # --- structural property checks -------------------------------------------

@@ -8,6 +8,7 @@ private names one module imports from another are pinned.
 
 import ast
 import importlib
+import inspect
 import json
 import pkgutil
 import subprocess
@@ -50,7 +51,7 @@ def test_package_import_loads_no_module_and_exports_only_the_version():
 @pytest.mark.parametrize("name", MODULES)
 def test_no_module_binds_a_wrapper_of_a_kernel(name):
     # each of these restated one call of a kernel its callers now make
-    # directly: tree_folds(rows, op, first), whitty._signed_tree_sums,
+    # directly: tree_folds(rows, op), whitty._signed_tree_sums,
     # encode_sequence(range(n), base), enumerate_valid_gammas and the
     # frozenset that class_sequences builds from _orbit
     module = importlib.import_module(f"gracelab.{name}")
@@ -75,6 +76,35 @@ def test_the_label_sign_lives_beside_its_one_reader():
 
 PACKAGE = Path(gracelab.__file__).resolve().parent
 TREES = {name: ast.parse((PACKAGE / f"{name}.py").read_text()) for name in MODULES}
+
+
+def test_the_oracle_scans_have_no_split():
+    # the oracle scans run in the calling process: a library that forks can
+    # deadlock a caller that runs threads, and the tree search takes no
+    # f(0) mask
+    from gracelab import genfun
+    from gracelab.digraph import tree_folds
+
+    removed = {
+        "_SPLIT_FROM_N",
+        "_usable_cpus",
+        "_shares",
+        "_run_share",
+        "_reap",
+        "_merged",
+        "_f0_mask",
+        "marshal",
+        "os",
+    }
+    assert removed & set(vars(genfun)) == set()
+    imported = set()
+    for node in ast.walk(TREES["genfun"]):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    assert {"os", "marshal"} & imported == set()
+    assert list(inspect.signature(tree_folds).parameters) == ["rows", "op"]
 
 
 def test_private_cross_module_imports_are_pinned():

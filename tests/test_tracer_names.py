@@ -60,7 +60,7 @@ def test_cli_import_loads_every_wrapped_module_and_no_dataclasses():
         [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
     )
     loaded = set(json.loads(done.stdout))
-    # the oracle scans fork their workers and send results back with
-    # marshal; multiprocessing and pickle would add to every process's set-up
+    # the oracle scans run in the calling process; multiprocessing and pickle
+    # would add to every process's set-up
     assert not {"dataclasses", "multiprocessing", "pickle"} & loaded
     assert {f"gracelab.{module}" for module, _ in WRAPPED} <= loaded
