@@ -579,24 +579,40 @@ class TestPropertyReports:
         )
 
 
-class TestScansInProcess:
-    """The three brute-force scans run in the calling process, at n = 7 as
-    below it."""
+class TestSplitScans:
+    """The three brute-force scans no longer split across forked workers:
+    they run in the calling process at n = 7 as below it, and the number of
+    CPUs the host shows never changes a result."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        def patch(count):
+            monkeypatch.setattr(
+                os, "sched_getaffinity", lambda pid: set(range(count)), raising=False
+            )
+            monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+        return patch
 
     @staticmethod
     def scans(n):
         matrix = integer_matrix(n, 1, 1, 50)
         return compute_F_bruteforce(n), compute_P_bruteforce(n), tdmtt_check(matrix)
 
-    def test_the_scans_agree_with_the_fast_paths_at_7(self):
-        f, p, tdmtt = self.scans(7)
+    @pytest.mark.parametrize("split", (2, 3))
+    def test_one_cpu_gives_what_the_split_gives(self, cpus, split):
+        cpus(split)
+        shared = self.scans(7)
+        cpus(1)
+        assert self.scans(7) == shared
+        f, p, tdmtt = shared
         assert f == compute_F(7) and p == compute_P(7)
         assert tdmtt.equal
 
-    def test_scans_never_fork(self, monkeypatch):
+    def test_scans_never_fork(self, cpus, monkeypatch):
         def fork():
             raise AssertionError("a scan forked")
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cpus(2)
         monkeypatch.setattr(os, "fork", fork)
         self.scans(7)
