@@ -365,7 +365,7 @@ def _structure(
         kids = children[v]
         kids.sort(key=shape)
         code[v] = ids.setdefault(tuple(map(shape, kids)), len(ids))
-        u = -1  # the previous sibling; no kids[1:] slice per vertex
+        u = -1  # the sibling before w in kids, -1 before the first
         for w in kids:
             if u >= 0 and code[u] == code[w]:
                 twin[w] = u

@@ -17,9 +17,7 @@ also Toeplitz, so the Laplacian commutes with the reversal i -> n-1-i, and
 that cofactor splits into two determinants of half the size (compute_P).
 
 The three brute-force scans (compute_F_bruteforce, compute_P_bruteforce and
-the tree side of tdmtt_check) each run in the calling process, with no
-workers: at n = 7 a whole scan takes only 40-90 ms, and a split across
-forked workers made no benchmark workload faster.
+the tree side of tdmtt_check) each run in the calling process.
 """
 
 from __future__ import annotations
@@ -68,7 +66,7 @@ def monomial_matrix(n: int, base: int) -> PolyMatrix:
         raise ValueError("need n >= 1")
     powers = [base**d for d in range(n)]
     return tuple(
-        tuple(SparsePoly.monomial(powers[abs(i - j)]) for j in range(n))
+        tuple(SparsePoly({powers[abs(i - j)]: 1}) for j in range(n))
         for i in range(n)
     )
 
@@ -89,7 +87,7 @@ def compute_F(n: int) -> SparsePoly:
     Equals the determinant of diag(X * 1) and therefore the sum of one
     monomial per function on Z_n, grouped by label sequence.
     """
-    result = SparsePoly.one()
+    result = SparsePoly({0: 1})
     for row in build_F_matrix(n):
         result = result * reduce(add, row)
     return result
@@ -175,7 +173,7 @@ def det_via_minor_expansion(matrix: Sequence[Sequence[T]]) -> T:
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
-    unit = SparsePoly.one()
+    unit = SparsePoly({0: 1})
     minors: dict[tuple[int, ...], SparsePoly] = {(): unit}
     for k in range(1, n + 1):
         row = [unit * entry if entry else None for entry in matrix[n - k]]

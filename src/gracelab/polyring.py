@@ -18,19 +18,10 @@ class SparsePoly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        data: dict[int, int] = {}
-        pairs = terms.items() if isinstance(terms, Mapping) else terms
-        for exponent, coefficient in pairs:
-            if exponent < 0:
-                raise ValueError(f"negative exponent: {exponent}")
-            if coefficient:
-                c = data.get(exponent, 0) + coefficient
-                if c:
-                    data[exponent] = c
-                else:
-                    del data[exponent]
-        self._terms = data
+    def __init__(self, terms: Mapping[int, int]):
+        if any(exponent < 0 for exponent in terms):
+            raise ValueError(f"negative exponent: {min(terms)}")
+        self._terms = {e: c for e, c in terms.items() if c}
 
     @classmethod
     def _wrap(cls, terms: dict[int, int]) -> "SparsePoly":
@@ -39,19 +30,6 @@ class SparsePoly:
         poly = cls.__new__(cls)
         poly._terms = terms
         return poly
-
-    @classmethod
-    def zero(cls) -> "SparsePoly":
-        return cls._wrap({})
-
-    @classmethod
-    def one(cls) -> "SparsePoly":
-        return cls.monomial(0)
-
-    @classmethod
-    def monomial(cls, exponent: int, coefficient: int = 1) -> "SparsePoly":
-        """The polynomial coefficient * x^exponent."""
-        return cls({exponent: coefficient})
 
     def items(self) -> list[tuple[int, int]]:
         """Terms as (exponent, coefficient) pairs, ascending exponent."""
@@ -102,7 +80,7 @@ class SparsePoly:
         return SparsePoly._wrap(out)
 
     def __neg__(self) -> "SparsePoly":
-        return self.scale(-1)
+        return self * -1
 
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
         if not isinstance(other, SparsePoly):
@@ -111,18 +89,14 @@ class SparsePoly:
 
     def __mul__(self, other: "SparsePoly | int") -> "SparsePoly":
         if isinstance(other, int):
-            return self.scale(other)
+            # an integer multiple; a factor of 0 leaves no stored zero
+            terms = self._terms.items() if other else ()
+            return SparsePoly._wrap({e: other * c for e, c in terms})
         if not isinstance(other, SparsePoly):
             return NotImplemented
         return SparsePoly.sum_of_products(((1, self, other),))
 
     __rmul__ = __mul__
-
-    def scale(self, factor: int) -> "SparsePoly":
-        """The polynomial factor * self; also spelled self * factor."""
-        if factor == 0:
-            return SparsePoly.zero()
-        return SparsePoly._wrap({e: factor * c for e, c in self._terms.items()})
 
     @classmethod
     def sum_of_products(

@@ -139,7 +139,7 @@ def _signed_tree_sums(matrix: Sequence[Sequence[T]]) -> tuple[T, T]:
     # one exponent dict per reading.
     n = len(matrix)
     cells = [
-        [(SparsePoly.one() * matrix[min(i, j)][max(i, j)]).items() for j in range(n)]
+        [(SparsePoly({0: 1}) * matrix[min(i, j)][max(i, j)]).items() for j in range(n)]
         for i in range(n)
     ]
     label, descent = Counter(), Counter()
@@ -166,7 +166,7 @@ def symbolic_matrix(n: int) -> tuple[tuple[SparsePoly, ...], ...]:
     k = 0
     for i in range(n):
         for j in range(i, n):
-            cells[(i, j)] = SparsePoly.monomial((n + 1) ** k)
+            cells[(i, j)] = SparsePoly({(n + 1) ** k: 1})
             k += 1
     return tuple(
         tuple(cells[(min(i, j), max(i, j))] for j in range(n)) for i in range(n)

@@ -100,7 +100,7 @@ class TestTermRenderers:
 
         # the Whitty determinant has negative coefficients
         return [whitty_lhs(symbolic_matrix(n)) for n in (3, 5)] + [
-            SparsePoly.zero(),
+            SparsePoly({}),
             SparsePoly({0: -1, 2**70: 3**50}),
         ]
 
@@ -207,7 +207,7 @@ class TestCountInvariant:
 
         _, passing, _ = invoke(capsys, *argv)
         original = getattr(genfun, name)
-        monkeypatch.setattr(genfun, name, lambda n: original(n) + SparsePoly.one())
+        monkeypatch.setattr(genfun, name, lambda n: original(n) + SparsePoly({0: 1}))
         code, out, _ = invoke(capsys, *argv)
         assert code == 1
         assert out.splitlines()[-1] == f"invariant failed: {violation}"
@@ -382,7 +382,7 @@ class TestFailureRenderings:
             name = f"compute_{which.upper()}_bruteforce"
             real = getattr(genfun, name)
             monkeypatch.setattr(
-                genfun, name, lambda n, real=real: real(n) + SparsePoly.monomial(1)
+                genfun, name, lambda n, real=real: real(n) + SparsePoly({1: 1})
             )
             oracle_terms = [["1", "1"], *terms]
             argv = ("genfun", "--which", which, "--n", "3", "--oracle")

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,11 +8,15 @@ from gracelab.polyring import SparsePoly
 
 
 def poly_of(*pairs):
-    return SparsePoly(pairs)
+    """The polynomial summing c * x^e over the (e, c) pairs."""
+    terms = Counter()
+    for exponent, coefficient in pairs:
+        terms[exponent] += coefficient
+    return SparsePoly(terms)
 
 
 small_polys = st.builds(
-    SparsePoly,
+    lambda pairs: poly_of(*pairs),
     st.lists(
         st.tuples(st.integers(min_value=0, max_value=10**40), st.integers(-50, 50)),
         max_size=6,
@@ -19,22 +25,23 @@ small_polys = st.builds(
 
 
 class TestConstruction:
-    def test_monomial_zero_exponent_is_constant_one(self):
-        assert SparsePoly.monomial(0) == SparsePoly.one()
-
-    def test_monomial_carries_coefficient_one(self):
-        p = SparsePoly.monomial(5)
-        assert p.items() == [(5, 1)]
+    def test_a_mapping_is_the_only_spelling(self):
+        # zero is SparsePoly({}), x^e is SparsePoly({e: 1}), k * p is p * k
+        for name in ("zero", "one", "monomial", "scale"):
+            assert not hasattr(SparsePoly, name)
+        with pytest.raises(TypeError):
+            SparsePoly([(1, 2)])
+        with pytest.raises(TypeError):
+            SparsePoly()
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError, match="negative exponent"):
-            SparsePoly.monomial(-1)
+            SparsePoly({-1: 1})
+        with pytest.raises(ValueError, match="negative exponent: -1"):
+            SparsePoly({2: 1, -1: 0})
 
     def test_zero_coefficients_dropped(self):
         assert poly_of((3, 0), (1, 2)).items() == [(1, 2)]
-
-    def test_duplicate_exponents_accumulate(self):
-        assert poly_of((2, 1), (2, 3)).items() == [(2, 4)]
 
 
 class TestArithmetic:
@@ -50,22 +57,17 @@ class TestArithmetic:
 
     def test_monomial_exponent_law(self):
         a, b = 7, 12
-        assert SparsePoly.monomial(a) * SparsePoly.monomial(b) == SparsePoly.monomial(
-            a + b
-        )
+        assert SparsePoly({a: 1}) * SparsePoly({b: 1}) == SparsePoly({a + b: 1})
 
     def test_subtraction_gives_zero(self):
         p = poly_of((4, 9), (1, -3))
         assert not p - p
 
-    def test_scale(self):
-        assert poly_of((2, 3)).scale(-2).items() == [(2, -6)]
-        assert not poly_of((2, 3)).scale(0)
-
     def test_int_scaling_on_either_side(self):
         p = poly_of((2, 3), (0, -1))
         assert (p * -2).items() == [(0, 2), (2, -6)]
-        assert (-2 * p) == p * -2 == p.scale(-2)
+        assert (-2 * p) == p * -2
+        assert -p == p * -1 and (-p).items() == [(0, 1), (2, -3)]
         assert not p * 0 and not 0 * p
 
     def test_int_scaling_leaves_the_operand_unchanged(self):
@@ -108,9 +110,9 @@ class TestQueries:
 
     def test_degree_of_zero_raises(self):
         with pytest.raises(ValueError, match="zero polynomial"):
-            SparsePoly.zero().min_degree()
+            SparsePoly({}).min_degree()
         with pytest.raises(ValueError, match="zero polynomial"):
-            SparsePoly.zero().max_degree()
+            SparsePoly({}).max_degree()
 
     def test_term_count(self):
         assert poly_of((1, 1), (5, 2), (9, -1)).term_count() == 3
@@ -142,8 +144,8 @@ class TestRingAxioms:
 
     @given(small_polys)
     def test_identities(self, p):
-        assert p + SparsePoly.zero() == p
-        assert p * SparsePoly.one() == p
+        assert p + SparsePoly({}) == p
+        assert p * SparsePoly({0: 1}) == p
         assert not p + (-p)
 
     @given(small_polys, small_polys)
@@ -160,9 +162,9 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "poly, text",
         [
-            (SparsePoly.zero(), "SparsePoly({})"),
-            (SparsePoly.monomial(0, -3), "SparsePoly({0: -3})"),
-            (SparsePoly.monomial(4), "SparsePoly({4: 1})"),
+            (SparsePoly({}), "SparsePoly({})"),
+            (SparsePoly({0: -3}), "SparsePoly({0: -3})"),
+            (SparsePoly({4: 1}), "SparsePoly({4: 1})"),
             (poly_of((0, 5), (1, 1), (3, -2)), "SparsePoly({0: 5, 1: 1, 3: -2})"),
         ],
         ids=["zero", "constant", "monomial", "mixed"],
@@ -186,7 +188,7 @@ class TestNonPolynomialOperands:
     )
     def test_operator_raises_type_error(self, combine):
         with pytest.raises(TypeError):
-            combine(SparsePoly.one())
+            combine(SparsePoly({0: 1}))
 
     def test_equality_with_an_int_is_false(self):
-        assert (SparsePoly.zero() == 0) is False
+        assert (SparsePoly({}) == 0) is False
