@@ -42,7 +42,7 @@ MAX_N = {
     "whitty": 11,
     "neighbors": 10,
     "neighbors-oracle": 6,
-    "conjecture": 10,
+    "conjecture": 12,
 }
 
 

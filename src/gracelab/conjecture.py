@@ -7,13 +7,13 @@ functional trees; representatives are the lexicographically least value
 tables of their orbits.
 
 check_conjecture_42 sweeps tree shapes: one non-decreasing parent array per
-rooted-tree shape (tree_shapes), its class size by orbit-stabilizer, and
-one witness per star sequence (realizes): the first hit of the labeling
-search of gracelab.digraph, given the sequence as its target,
-re-checked by reading off the edge labels.  tree_classes and
-class_sequences walk each class's n! orbit instead; they stay as the
-oracle for the shape sweep, and the two share only the edge-label
-definition.
+rooted-tree shape (tree_shapes) and its class size by orbit-stabilizer.
+The shapes are grouped by free tree, and each free tree gets one witness
+per star sequence (realizes): the first hit of the labeling search of
+gracelab.digraph, given the sequence as its target, re-checked by reading
+off the edge labels.  tree_classes and class_sequences walk each class's
+n! orbit instead; they stay as the oracle for the shape sweep, and the two
+share only the edge-label definition.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ __all__ = [
     "TreeClass",
     "check_conjecture_42",
     "class_sequences",
+    "free_tree_count",
     "realizes",
     "rooted_tree_count",
     "star_sequences",
@@ -120,6 +121,17 @@ def rooted_tree_count(n: int) -> int:
     return a[n]
 
 
+def free_tree_count(n: int) -> int:
+    """OEIS A000055, the number of unlabeled free trees on n vertices, by
+    Otter's formula t(x) = r(x) - (r(x)^2 - r(x^2)) / 2, where r(x) counts
+    rooted trees (rooted_tree_count)."""
+    r = rooted_tree_count
+    pairs = sum(r(i) * r(n - i) for i in range(1, n))
+    if n % 2 == 0:
+        pairs -= r(n // 2)
+    return r(n) - pairs // 2
+
+
 def _ordered_parent_arrays(n: int) -> Iterator[tuple[int, ...]]:
     """Yield the tables with f(0) = 0 and f(i-1) <= f(i) < i for i >= 1,
     lexicographically; there are Catalan(n-1) of them."""
@@ -189,6 +201,32 @@ def realizes(g: FunctionalDigraph, target: Sequence[int]) -> bool:
     return next(_hits(g.values, target), None) is not None
 
 
+def _free_tree_key(values: tuple[int, ...], ids: dict[tuple[int, ...], int]) -> int:
+    """A code of the free tree under a functional tree given as a parent
+    array (f(0) = 0 and f(i) < i for i >= 1, as every class representative
+    is): the least AHU code, numbered in ids, of the tree rerooted at each
+    of its centroids.  An isomorphism of free trees maps centroids onto
+    centroids, so with one ids dict two shapes get the same key exactly
+    when they share a free tree."""
+    n = len(values)
+    size = [1] * n  # vertices in each in-subtree
+    big = [0] * n  # the largest in-subtree of a child
+    for v in range(n - 1, 0, -1):
+        u = values[v]
+        size[u] += size[v]
+        big[u] = max(big[u], size[v])
+    codes = []
+    for c in range(n):
+        if 2 * max(big[c], n - size[c]) <= n:  # c is a centroid
+            rerooted = list(values)  # reverse the path from c to the root
+            rerooted[c] = c
+            u, w = c, values[c]
+            while w != u:
+                rerooted[w], u, w = u, w, values[w]
+            codes.append(_structure(tuple(rerooted), ids)[2][c])
+    return min(codes)
+
+
 class ConjectureReport(namedtuple("ConjectureReport", "classes missing violations")):
     """The TreeClasses at n, the (representative, sequence) pairs missing, and
     the failed invariants of the class list."""
@@ -204,13 +242,16 @@ class ConjectureReport(namedtuple("ConjectureReport", "classes missing violation
         return sum(c.size for c in self.classes)
 
 
-def _violations(n: int, classes: Sequence[TreeClass]) -> tuple[str, ...]:
-    """The invariants of a class list that fail: A000081 classes whose
-    sizes sum to Cayley's n^(n-1)."""
+def _violations(n: int, classes: Sequence[TreeClass], free_trees: int) -> tuple[str, ...]:
+    """The invariants of a class list that fail: A000081 classes in
+    A000055 free trees, with sizes that sum to Cayley's n^(n-1)."""
     found = []
     expected = rooted_tree_count(n)
     if len(classes) != expected:
         found.append(f"classes {len(classes)} != A000081({n}) = {expected}")
+    expected = free_tree_count(n)
+    if free_trees != expected:
+        found.append(f"free trees {free_trees} != A000055({n}) = {expected}")
     total = sum(c.size for c in classes)
     if total != n ** (n - 1):
         found.append(f"class_size_total {total} != n^(n-1) = {n ** (n - 1)}")
@@ -220,14 +261,24 @@ def _violations(n: int, classes: Sequence[TreeClass]) -> tuple[str, ...]:
 def check_conjecture_42(n: int) -> ConjectureReport:
     """For every tree class, is every star sequence realized?  Any missing
     (class representative, sequence) pair is listed; an empty list means the
-    conjecture holds at this n.  Classes come from the shape sweep; the
-    class count and size total are checked against A000081 and n^(n-1)."""
+    conjecture holds at this n.  Classes come from the shape sweep, and
+    each star sequence is decided once per free tree, on its first class:
+    an edge label |sigma(u) - sigma(v)| has no direction and the loop always
+    takes label 0, so the rootings of one free tree realize the same label
+    sequences.  The class count, the free-tree count and the size total
+    are checked against A000081, A000055 and n^(n-1)."""
     stars = star_sequences(n)
     classes = tree_shapes(n)
+    ids: dict[tuple[int, ...], int] = {}
+    keys = [_free_tree_key(t.representative.values, ids) for t in classes]
+    realized: dict[int, list[bool]] = {}
+    for t, key in zip(classes, keys):
+        if key not in realized:
+            realized[key] = [realizes(t.representative, seq) for seq in stars]
     missing = tuple(
         (t.representative, seq)
-        for t in classes
-        for seq in stars
-        if not realizes(t.representative, seq)
+        for t, key in zip(classes, keys)
+        for seq, ok in zip(stars, realized[key])
+        if not ok
     )
-    return ConjectureReport(tuple(classes), missing, _violations(n, classes))
+    return ConjectureReport(tuple(classes), missing, _violations(n, classes, len(realized)))

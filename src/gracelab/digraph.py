@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from operator import add
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 __all__ = [
     "Permutation",
@@ -157,7 +157,7 @@ def tree_folds(rows: Sequence[Sequence[T]], op: Callable[[T, T], T]) -> Iterator
     """Yield op(...op(op(rows[0][f(0)], rows[1][f(1)]), ...), rows[n-1][f(n-1)])
     for every functional tree f on Z_n, n = len(rows), lexicographically in f.
 
-    The search assigns f(0), ..., f(n-2) in turn.  An assignment f(i) = v
+    The search assigns f(0), ..., f(n-3) in turn.  An assignment f(i) = v
     is pruned when it adds a second loop, or when the path v, f(v),
     f(f(v)), ... through assigned vertices returns to i (a cycle of length
     >= 2).  Every unpruned partial table extends to a tree, so the search
@@ -165,32 +165,74 @@ def tree_folds(rows: Sequence[Sequence[T]], op: Callable[[T, T], T]) -> Iterator
     loop and for each unassigned u, is the bitmask of the vertices whose
     path ends at u, so the cycle test is one bit of reach[i].  The fold
     over the assigned vertices is kept per depth, so each search node costs
-    one op.  The last vertex is placed in one pass: with no loop yet it can
-    only take the loop; otherwise it takes exactly the vertices in the
-    loop's reach, in increasing order.
+    one op.  The last two vertices, a = n-2 and b = n-1, are placed from a
+    cache: once f(0), ..., f(n-3) are set, every path ends at a, at b or at
+    the loop, so the pair (reach[a], reach[b]) decides which (f(a), f(b))
+    close no cycle and add no second loop.  The cache lists them in
+    lexicographic order as the values rows[a][f(a)], the number of f(b)
+    that each allows, and all the rows[b][f(b)] in a row, so each node
+    folds op(acc, rows[a][f(a)]) once per f(a) (at n = 2 nothing is
+    assigned, and the fold starts at rows[a][f(a)]).  A node's folds are
+    one run of C iterators, and the runs are chained, so no tree passes
+    through a Python frame.
     """
-    n = len(rows)
-    if n < 1:
+    if not rows:
         raise ValueError("need n >= 1")
-    full = (1 << n) - 1
-    last = n - 1
-    if not last:
-        yield rows[0][0]
+    return itertools.chain.from_iterable(_tree_fold_runs(rows, op))
+
+
+def _tree_fold_runs(
+    rows: Sequence[Sequence[T]], op: Callable[[T, T], T]
+) -> Iterator[Iterable[T]]:
+    """The folds of tree_folds, one run per node of its search."""
+    n = len(rows)
+    if n == 1:
+        yield (rows[0][0],)
         return
-    values = [0] * last
+    full = (1 << n) - 1
+    k = n - 2  # the search assigns f(0), ..., f(k-1)
+    a, b = k, k + 1
+    values = [0] * k
     reach = [1 << u for u in range(n)]
-    left = [full] + [0] * (last - 1)  # bitmask of the values still to try
-    end = [0] * last  # where the path from f(i) ends (-1 for the loop)
-    acc = [rows[0][0]] * n  # acc[i]: the fold over vertices 0..i-1 (i >= 1)
-    last_row = rows[last]
-    picks: dict[int, list[T]] = {}  # the loop's reach -> last_row entries
+    left = [full] * k  # bitmask of the values still to try
+    end = [0] * k  # where the path from f(i) ends (-1 for the loop)
+    acc = [rows[0][0]] * (k + 1)  # acc[i]: the fold over vertices 0..i-1 (i >= 1)
+    cache: dict[int, tuple[list[T], list[int], list[T]]] = {}
+
+    def leaves(ra: int, rb: int) -> tuple[list[T], list[int], list[T]]:
+        # f(a) takes the values outside ra, or a itself (the loop) when no
+        # vertex has one; then f(b) those outside b's reach, or b itself
+        # when there is still no loop
+        rooted = ra | rb != full
+        heads, counts, tails = [], [], []
+        for v in range(n):
+            if ra >> v & 1 and (v != a or rooted):
+                continue
+            merged = rb | ra if rb >> v & 1 else rb  # b's reach once f(a) = v
+            ok = full ^ merged | (not rooted and v != a) << b
+            heads.append(rows[a][v])
+            counts.append(ok.bit_count())
+            tails.extend(rows[b][u] for u in range(n) if ok >> u & 1)
+        return heads, counts, tails
+
+    repeat, chain = itertools.repeat, itertools.chain.from_iterable
     root = -1  # the vertex carrying the loop, once one is assigned
     i = 0
     while i >= 0:
-        r = left[i]
-        if not r:
+        if i == k:
+            key = reach[a] << n | reach[b]
+            entry = cache.get(key)
+            if entry is None:
+                entry = cache[key] = leaves(reach[a], reach[b])
+            heads, counts, tails = entry
+            if k:
+                heads = map(op, repeat(acc[k]), heads)
+            yield map(op, chain(map(repeat, heads, counts)), tails)
+            i -= 1
+        elif not left[i]:
             i -= 1
         else:
+            r = left[i]
             low = r & -r
             left[i] = r ^ low
             v = low.bit_length() - 1
@@ -205,18 +247,10 @@ def tree_folds(rows: Sequence[Sequence[T]], op: Callable[[T, T], T]) -> Iterator
                     t = values[t]
                 reach[t] |= reach[i]
                 end[i] = t
-            if i + 1 < last:
-                i += 1
+            i += 1
+            if i < k:
                 left[i] = full ^ reach[i] | (root < 0) << i
-                continue
-            if root < 0:
-                yield op(acc[last], last_row[last])
-            else:
-                m = reach[root]
-                p = picks.get(m)
-                if p is None:
-                    p = picks[m] = [last_row[u] for u in range(last) if m >> u & 1]
-                yield from map(op, itertools.repeat(acc[last]), p)
+            continue
         if i >= 0:  # take back the assignment at position i
             t = end[i]
             if t < 0:
@@ -235,22 +269,26 @@ def graceful_tables(n: int, fix0: bool = False) -> Iterator[tuple[int, ...]]:
     """Yield the gracefully labeled value tables on Z_n, lexicographically.
 
     An assignment f(i) = v is pruned when the label |v - i| is already used,
-    tracked in a bitmask.  With fix0, only tables with f(0) = 0 are searched.
+    tracked in a bitmask.  The last vertex is forced: one label L is left,
+    so f(n-1) = n-1-L.  With fix0, only tables with f(0) = 0 are searched.
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    last = n - 1
+    full = (1 << n) - 1
     values = [0] * n
 
     def extend(i: int, used: int) -> Iterator[tuple[int, ...]]:
+        if i == last:
+            values[i] = n - (full ^ used).bit_length()
+            yield tuple(values)
+            return
         for v in range(1 if fix0 and not i else n):
             bit = 1 << abs(v - i)
             if used & bit:
                 continue
             values[i] = v
-            if i == n - 1:
-                yield tuple(values)
-            else:
-                yield from extend(i + 1, used | bit)
+            yield from extend(i + 1, used | bit)
 
     yield from extend(0, 0)
 

@@ -308,9 +308,9 @@ class TestChecksExitZero:
         assert out.endswith("classes: 115\nclass_size_total: 2097152\nholds: true\n")
 
     def test_conjecture_past_the_ceiling_is_usage_error(self, capsys):
-        code, out, err = invoke(capsys, "conjecture", "--n", "11")
+        code, out, err = invoke(capsys, "conjecture", "--n", "13")
         assert code == 2 and out == ""
-        assert "conjecture: n=11 outside feasible range [1, 10]" in err
+        assert "conjecture: n=13 outside feasible range [1, 12]" in err
 
     def test_props_past_the_ceiling_is_usage_error(self, capsys):
         code, out, err = invoke(capsys, "props", "--n", "9")
@@ -330,6 +330,19 @@ class TestChecksExitZero:
         assert code == 1 and doc["status"] == "fail"
         assert doc["violations"][0] == "classes 3 != A000081(4) = 4"
 
+    def test_conjecture_wrong_free_tree_key_exits_one(self, capsys, monkeypatch):
+        from gracelab import conjecture
+
+        # one key per rooted shape: the sweep finds 4 free trees, not 2
+        monkeypatch.setattr(conjecture, "_free_tree_key", lambda values, ids: values)
+        code, out, _ = invoke(capsys, "conjecture", "--n", "4")
+        assert code == 1
+        assert "invariant failed: free trees 4 != A000055(4) = 2" in out.splitlines()
+        code, out, _ = invoke(capsys, "conjecture", "--n", "4", "--format", "structured")
+        doc = json.loads(out)
+        assert code == 1 and doc["status"] == "fail"
+        assert doc["violations"] == ["free trees 4 != A000055(4) = 2"]
+
     def test_grl(self, capsys):
         code, out, _ = invoke(capsys, "grl", "--graph", "5:0,0,0,0,0")
         assert code == 0
@@ -345,8 +358,13 @@ class TestFailureRenderings:
 
         real = conjecture.realizes
 
+        # the sweep decides each star sequence once per free tree, so the
+        # fake refuses the star K_{1,3}: rooted at its centre (4:0,0,0,0) and
+        # at a leaf (4:0,0,1,1)
+        star = {(0, 0, 0, 0), (0, 0, 1, 1)}
+
         def realizes(g, target):
-            refused = g.values == (0, 0, 0, 0) and tuple(target) == (0, 1, 1, 2)
+            refused = g.values in star and tuple(target) == (0, 1, 1, 2)
             return not refused and real(g, target)
 
         monkeypatch.setattr(conjecture, "realizes", realizes)
@@ -355,7 +373,7 @@ class TestFailureRenderings:
         assert out.splitlines() == [
             "class 4:0,0,0,0: missing 0,1,1,2",
             "class 4:0,0,0,1: ok",
-            "class 4:0,0,1,1: ok",
+            "class 4:0,0,1,1: missing 0,1,1,2",
             "class 4:0,0,1,2: ok",
             "classes: 4",
             "class_size_total: 64",
@@ -364,7 +382,10 @@ class TestFailureRenderings:
         code, out, _ = invoke(capsys, "conjecture", "--n", "4", "--format", "structured")
         doc = json.loads(out)
         assert code == 1 and doc["status"] == "fail"
-        assert doc["missing"] == [{"class": "4:0,0,0,0", "sequence": [0, 1, 1, 2]}]
+        assert doc["missing"] == [
+            {"class": "4:0,0,0,0", "sequence": [0, 1, 1, 2]},
+            {"class": "4:0,0,1,1", "sequence": [0, 1, 1, 2]},
+        ]
         assert "violations" not in doc
 
     def test_genfun_oracle_mismatch(self, capsys, monkeypatch):

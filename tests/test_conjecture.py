@@ -10,6 +10,7 @@ from gracelab.conjecture import (
     _orbit,
     check_conjecture_42,
     class_sequences,
+    free_tree_count,
     realizes,
     rooted_tree_count,
     star_sequences,
@@ -18,11 +19,14 @@ from gracelab.conjecture import (
 )
 from gracelab.digraph import FunctionalDigraph, Permutation, edge_labels, relabel
 
-# OEIS A000081, n = 1..10
+# OEIS A000081 and A000055, n = 1..10
 A000081 = (1, 1, 2, 4, 9, 20, 48, 115, 286, 719)
+A000055 = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106)
 
 
-@pytest.mark.parametrize("build", [star_sequences, rooted_tree_count, tree_shapes])
+@pytest.mark.parametrize(
+    "build", [star_sequences, rooted_tree_count, free_tree_count, tree_shapes]
+)
 def test_n_below_one_is_rejected(build):
     with pytest.raises(ValueError, match="need n >= 1"):
         build(0)
@@ -248,6 +252,37 @@ class TestShapeSweep:
         for name in ("conjugate_tables", "tree_classes", "class_sequences"):
             monkeypatch.setattr(conjecture, name, forbidden)
         assert check_conjecture_42(6).holds
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_free_tree_counts_are_a000055(self, n):
+        assert free_tree_count(n) == A000055[n - 1]
+        ids = {}
+        shapes = tree_shapes(n)
+        keys = {conjecture._free_tree_key(c.representative.values, ids) for c in shapes}
+        assert len(keys) == A000055[n - 1]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_classes_sharing_a_key_share_their_orbit_sequences(self, n):
+        ids = {}
+        by_key = {}
+        for c in tree_classes(n):
+            key = conjecture._free_tree_key(c.representative.values, ids)
+            by_key.setdefault(key, []).append(class_sequences(c))
+        assert len(by_key) == A000055[n - 1]
+        for sequences in by_key.values():
+            assert all(s == sequences[0] for s in sequences)
+
+    def test_decides_each_star_sequence_once_per_free_tree(self, monkeypatch):
+        calls = []
+        real = conjecture.realizes
+
+        def counted(g, target):
+            calls.append(g)
+            return real(g, target)
+
+        monkeypatch.setattr(conjecture, "realizes", counted)
+        assert check_conjecture_42(7).holds
+        assert len(calls) == A000055[6] * len(star_sequences(7))
 
     def test_dropped_class_breaks_both_invariants(self, monkeypatch):
         shapes = tree_shapes(5)
