@@ -38,7 +38,7 @@ MAX_N = {
     "coeff-f": 9,
     "coeff-p": 12,
     "props": 8,
-    "tdmtt": 8,
+    "tdmtt": 9,
     "whitty": 11,
     "neighbors": 10,
     "neighbors-oracle": 6,
@@ -451,7 +451,18 @@ class _Subcommand(argparse.ArgumentParser):
     error shows the subcommand's usage line, as its other errors do."""
 
     def parse_known_args(self, args=None, namespace=None):
-        namespace, extras = super().parse_known_args(args, namespace)
+        # A value that starts with "-" and a digit ("--sequence -1,3",
+        # "--graph -1:0") is joined to its flag, as "--sequence=-1,3" is
+        # written: argparse takes only a plain negative number as a value
+        # and reads the rest as unknown options, leaving the flag empty.
+        joined: list[str] = []
+        for arg in args:
+            flag = joined[-1] if joined else ""
+            if flag in _VALUED and arg[:1] == "-" and arg[1:2].isdigit():
+                joined[-1] = flag + "=" + arg
+            else:
+                joined.append(arg)
+        namespace, extras = super().parse_known_args(joined, namespace)
         if extras:
             self.error("unrecognized arguments: " + " ".join(extras))
         return namespace, extras
@@ -474,6 +485,7 @@ _OPTIONS = {
     "sequence": {"required": True, "help": "comma-separated labels"},
     "symbolic": {"action": "store_true"},
 }
+_VALUED = {"--" + name for name, spec in _OPTIONS.items() if "action" not in spec}
 
 # One row per subcommand: its handler, help text and options after format.
 # An option is a name from _OPTIONS, a (name, spec) pair where the spec

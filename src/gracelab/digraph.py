@@ -157,7 +157,12 @@ def tree_folds(rows: Sequence[Sequence[T]], op: Callable[[T, T], T]) -> Iterator
     """Yield op(...op(op(rows[0][f(0)], rows[1][f(1)]), ...), rows[n-1][f(n-1)])
     for every functional tree f on Z_n, n = len(rows), lexicographically in f.
 
-    The search assigns f(0), ..., f(n-3) in turn.  An assignment f(i) = v
+    op must be associative: the last vertices' terms are folded together
+    before the fold over the first vertices meets them, and each is
+    shared by many trees.  Integer addition and multiplication and tuple
+    or string concatenation all are.
+
+    The search assigns f(0), ..., f(n-4) in turn.  An assignment f(i) = v
     is pruned when it adds a second loop, or when the path v, f(v),
     f(f(v)), ... through assigned vertices returns to i (a cycle of length
     >= 2).  Every unpruned partial table extends to a tree, so the search
@@ -165,14 +170,18 @@ def tree_folds(rows: Sequence[Sequence[T]], op: Callable[[T, T], T]) -> Iterator
     loop and for each unassigned u, is the bitmask of the vertices whose
     path ends at u, so the cycle test is one bit of reach[i].  The fold
     over the assigned vertices is kept per depth, so each search node costs
-    one op.  The last two vertices, a = n-2 and b = n-1, are placed from a
-    cache: once f(0), ..., f(n-3) are set, every path ends at a, at b or at
-    the loop, so the pair (reach[a], reach[b]) decides which (f(a), f(b))
-    close no cycle and add no second loop.  The cache lists them in
-    lexicographic order as the values rows[a][f(a)], the number of f(b)
-    that each allows, and all the rows[b][f(b)] in a row, so each node
-    folds op(acc, rows[a][f(a)]) once per f(a) (at n = 2 nothing is
-    assigned, and the fold starts at rows[a][f(a)]).  A node's folds are
+    one op.  The last three vertices, c = n-3, a = n-2 and b = n-1, are
+    placed from two caches.  Once f(0), ..., f(c-1) are set, every path
+    ends at c, a, b or the loop, so (reach[c], reach[a], reach[b]) decides
+    which f(c) close no cycle and add no second loop, and each f(c) = v
+    leaves a pair (reach[a], reach[b]) that decides the same for
+    (f(a), f(b)).  The pair cache holds, per pair of reaches, the allowed
+    (f(a), f(b)) in lexicographic order as the folded values
+    op(rows[a][f(a)], rows[b][f(b)]); the triple cache holds, per triple,
+    the allowed v in order as rows[c][v] and the pair entry that v leaves.
+    So a node folds op(acc, rows[c][v]) once per v and then one op per
+    tree (at n = 3 nothing is assigned, and the fold starts at
+    rows[c][v]; at n = 2 the pairs are the folds).  A node's folds are
     one run of C iterators, and the runs are chained, so no tree passes
     through a Python frame.
     """
@@ -190,44 +199,68 @@ def _tree_fold_runs(
         yield (rows[0][0],)
         return
     full = (1 << n) - 1
-    k = n - 2  # the search assigns f(0), ..., f(k-1)
-    a, b = k, k + 1
+    k = n - 3  # the search assigns f(0), ..., f(k-1)
+    c, a, b = k, k + 1, k + 2
+    pairs: dict[int, list[T]] = {}
+
+    def pair_folds(ra: int, rb: int) -> list[T]:
+        # f(a) takes the values outside ra, or a itself (the loop) when no
+        # vertex has one; then f(b) those outside b's reach, or b itself
+        # when there is still no loop
+        key = ra << n | rb
+        folds = pairs.get(key)
+        if folds is None:
+            folds = pairs[key] = []
+            rooted = ra | rb != full
+            for v in range(n):
+                if ra >> v & 1 and (v != a or rooted):
+                    continue
+                merged = rb | ra if rb >> v & 1 else rb  # b's reach once f(a) = v
+                ok = full ^ merged | (not rooted and v != a) << b
+                head = rows[a][v]
+                folds.extend(op(head, rows[b][u]) for u in range(n) if ok >> u & 1)
+        return folds
+
+    if n == 2:
+        yield pair_folds(1, 2)
+        return
+
+    def triple(rc: int, ra: int, rb: int) -> tuple[list[T], list[list[T]]]:
+        # f(c) = v as for f(a) above; c's reach then joins the reach of
+        # the vertex where v's path ends, or leaves them at the loop
+        rooted = rc | ra | rb != full
+        heads, entries = [], []
+        for v in range(n):
+            if rc >> v & 1 and (v != c or rooted):
+                continue
+            heads.append(rows[c][v])
+            if ra >> v & 1:
+                entries.append(pair_folds(ra | rc, rb))
+            elif rb >> v & 1:
+                entries.append(pair_folds(ra, rb | rc))
+            else:
+                entries.append(pair_folds(ra, rb))
+        return heads, entries
+
     values = [0] * k
     reach = [1 << u for u in range(n)]
     left = [full] * k  # bitmask of the values still to try
     end = [0] * k  # where the path from f(i) ends (-1 for the loop)
     acc = [rows[0][0]] * (k + 1)  # acc[i]: the fold over vertices 0..i-1 (i >= 1)
-    cache: dict[int, tuple[list[T], list[int], list[T]]] = {}
-
-    def leaves(ra: int, rb: int) -> tuple[list[T], list[int], list[T]]:
-        # f(a) takes the values outside ra, or a itself (the loop) when no
-        # vertex has one; then f(b) those outside b's reach, or b itself
-        # when there is still no loop
-        rooted = ra | rb != full
-        heads, counts, tails = [], [], []
-        for v in range(n):
-            if ra >> v & 1 and (v != a or rooted):
-                continue
-            merged = rb | ra if rb >> v & 1 else rb  # b's reach once f(a) = v
-            ok = full ^ merged | (not rooted and v != a) << b
-            heads.append(rows[a][v])
-            counts.append(ok.bit_count())
-            tails.extend(rows[b][u] for u in range(n) if ok >> u & 1)
-        return heads, counts, tails
-
+    triples: dict[int, tuple[list[T], list[list[T]]]] = {}
     repeat, chain = itertools.repeat, itertools.chain.from_iterable
     root = -1  # the vertex carrying the loop, once one is assigned
     i = 0
     while i >= 0:
         if i == k:
-            key = reach[a] << n | reach[b]
-            entry = cache.get(key)
+            key = (reach[c] << n | reach[a]) << n | reach[b]
+            entry = triples.get(key)
             if entry is None:
-                entry = cache[key] = leaves(reach[a], reach[b])
-            heads, counts, tails = entry
+                entry = triples[key] = triple(reach[c], reach[a], reach[b])
+            heads, entries = entry
             if k:
                 heads = map(op, repeat(acc[k]), heads)
-            yield map(op, chain(map(repeat, heads, counts)), tails)
+            yield chain(map(map, repeat(op), map(repeat, heads), entries))
             i -= 1
         elif not left[i]:
             i -= 1

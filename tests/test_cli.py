@@ -312,6 +312,11 @@ class TestChecksExitZero:
         assert code == 2 and out == ""
         assert "conjecture: n=13 outside feasible range [1, 12]" in err
 
+    def test_tdmtt_past_the_ceiling_is_usage_error(self, capsys):
+        code, out, err = invoke(capsys, "tdmtt", "--n", "10", "--seed", "1")
+        assert code == 2 and out == ""
+        assert "tdmtt: n=10 outside feasible range [1, 9]" in err
+
     def test_props_past_the_ceiling_is_usage_error(self, capsys):
         code, out, err = invoke(capsys, "props", "--n", "9")
         assert code == 2 and out == ""
@@ -500,6 +505,30 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             run(["gammas"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("coeff", "--which", "f", "--sequence", "-1,3"), "label -1 outside [0, 2)"),
+            (
+                ("coeff", "--format", "structured", "--which", "p", "--sequence", "-1,3"),
+                "label -1 outside [0, 2)",
+            ),
+            (("labels", "--graph", "-1:0"), "digraph text declares n=-1 but lists 1 values"),
+        ],
+    )
+    def test_value_starting_with_a_dash_and_digit(self, capsys, argv, message):
+        # read as the value, as it is when written after "="
+        glued = (*argv[:-2], "=".join(argv[-2:]))
+        for args in (argv, glued):
+            assert invoke(capsys, *args) == (2, "", f"error: {message}\n")
+
+    def test_flag_before_another_flag_is_still_empty(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["coeff", "--which", "f", "--sequence", "--format", "text"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: argument --sequence: expected one argument\n")
 
     def test_negative_limit(self, capsys):
         code, _, err = invoke(capsys, "gammas", "--n", "4", "--limit", "-1")

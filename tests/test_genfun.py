@@ -431,7 +431,8 @@ class TestComputeP:
         sym, anti = reversal_blocks(n)
         assert p_laplacian_cofactor(n, n // 2) == det_poly(sym) * det_poly(anti)
 
-    @pytest.mark.parametrize("n", range(2, 8))
+    # from n = 8 on, five search levels of tree_folds sit above its caches
+    @pytest.mark.parametrize("n", range(2, 9))
     def test_matches_bruteforce(self, n):
         assert compute_P(n) == compute_P_bruteforce(n)
 
@@ -488,7 +489,7 @@ class TestTdmtt:
         check = tdmtt_check([[2, 3], [5, 7]])
         assert check.left == check.right == 2 * 5 + 3 * 7
 
-    @pytest.mark.parametrize("n", range(3, 8))
+    @pytest.mark.parametrize("n", range(3, 9))
     @pytest.mark.parametrize("seed", (1, 2, 3))
     def test_random_matrices(self, n, seed):
         assert tdmtt_check(integer_matrix(n, seed, 1, 50)).equal
