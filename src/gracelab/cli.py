@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from typing import Sequence
 
@@ -450,19 +451,15 @@ class _Subcommand(argparse.ArgumentParser):
     """A subcommand's parser: it reports its own leftover arguments, so the
     error shows the subcommand's usage line, as its other errors do."""
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Every argument that starts with "-" and a digit ("--sequence -1,3",
+        # "--seq -1,3", "--graph -1:0") is a value, as "--sequence=-1,3" is:
+        # argparse's own test takes only a plain negative number as one.
+        self._negative_number_matcher = re.compile(r"-\d")
+
     def parse_known_args(self, args=None, namespace=None):
-        # A value that starts with "-" and a digit ("--sequence -1,3",
-        # "--graph -1:0") is joined to its flag, as "--sequence=-1,3" is
-        # written: argparse takes only a plain negative number as a value
-        # and reads the rest as unknown options, leaving the flag empty.
-        joined: list[str] = []
-        for arg in args:
-            flag = joined[-1] if joined else ""
-            if flag in _VALUED and arg[:1] == "-" and arg[1:2].isdigit():
-                joined[-1] = flag + "=" + arg
-            else:
-                joined.append(arg)
-        namespace, extras = super().parse_known_args(joined, namespace)
+        namespace, extras = super().parse_known_args(args, namespace)
         if extras:
             self.error("unrecognized arguments: " + " ".join(extras))
         return namespace, extras
@@ -485,7 +482,6 @@ _OPTIONS = {
     "sequence": {"required": True, "help": "comma-separated labels"},
     "symbolic": {"action": "store_true"},
 }
-_VALUED = {"--" + name for name, spec in _OPTIONS.items() if "action" not in spec}
 
 # One row per subcommand: its handler, help text and options after format.
 # An option is a name from _OPTIONS, a (name, spec) pair where the spec

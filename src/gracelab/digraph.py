@@ -162,26 +162,29 @@ def tree_folds(rows: Sequence[Sequence[T]], op: Callable[[T, T], T]) -> Iterator
     shared by many trees.  Integer addition and multiplication and tuple
     or string concatenation all are.
 
-    The search assigns f(0), ..., f(n-4) in turn.  An assignment f(i) = v
-    is pruned when it adds a second loop, or when the path v, f(v),
-    f(f(v)), ... through assigned vertices returns to i (a cycle of length
-    >= 2).  Every unpruned partial table extends to a tree, so the search
-    has no dead ends.  The paths are tracked as sets: reach[u], for the
-    loop and for each unassigned u, is the bitmask of the vertices whose
-    path ends at u, so the cycle test is one bit of reach[i].  The fold
-    over the assigned vertices is kept per depth, so each search node costs
-    one op.  The last three vertices, c = n-3, a = n-2 and b = n-1, are
-    placed from two caches.  Once f(0), ..., f(c-1) are set, every path
-    ends at c, a, b or the loop, so (reach[c], reach[a], reach[b]) decides
-    which f(c) close no cycle and add no second loop, and each f(c) = v
-    leaves a pair (reach[a], reach[b]) that decides the same for
-    (f(a), f(b)).  The pair cache holds, per pair of reaches, the allowed
-    (f(a), f(b)) in lexicographic order as the folded values
+    The search is one recursive generator: it assigns f(0), ..., f(n-4)
+    in turn, each in increasing order, and passes the fold over the
+    assigned vertices down the recursion, so each search node costs one
+    op.  An assignment f(i) = v is pruned when it adds a second loop, or
+    when the path v, f(v), f(f(v)), ... through assigned vertices returns
+    to i (a cycle of length >= 2).  Every unpruned partial table extends
+    to a tree, so the search has no dead ends.  The paths are tracked as
+    sets: reach[u], for the loop and for each unassigned u, is the bitmask
+    of the vertices whose path ends at u, so the cycle test is one bit of
+    reach[i].  f(i) = v joins reach[i] to the reach of the vertex t where
+    v's path ends (t = i for the loop), and the recursion restores reach[t]
+    when it returns.  The last three vertices, c = n-3, a = n-2 and
+    b = n-1, are placed from two caches.  Once f(0), ..., f(c-1) are set,
+    every path ends at c, a, b or the loop, so (reach[c], reach[a],
+    reach[b]) decides which f(c) close no cycle and add no second loop,
+    and each f(c) = v leaves a pair (reach[a], reach[b]) that decides the
+    same for (f(a), f(b)).  The pair cache holds, per pair of reaches, the
+    allowed (f(a), f(b)) in lexicographic order as the folded values
     op(rows[a][f(a)], rows[b][f(b)]); the triple cache holds, per triple,
     the allowed v in order as rows[c][v] and the pair entry that v leaves.
-    So a node folds op(acc, rows[c][v]) once per v and then one op per
-    tree (at n = 3 nothing is assigned, and the fold starts at
-    rows[c][v]; at n = 2 the pairs are the folds).  A node's folds are
+    So a search leaf folds op(acc, rows[c][v]) once per v and then one op
+    per tree (at n = 3 nothing is assigned, and the fold starts at
+    rows[c][v]; at n = 2 the pairs are the folds).  A leaf's folds are
     one run of C iterators, and the runs are chained, so no tree passes
     through a Python frame.
     """
@@ -193,7 +196,7 @@ def tree_folds(rows: Sequence[Sequence[T]], op: Callable[[T, T], T]) -> Iterator
 def _tree_fold_runs(
     rows: Sequence[Sequence[T]], op: Callable[[T, T], T]
 ) -> Iterator[Iterable[T]]:
-    """The folds of tree_folds, one run per node of its search."""
+    """The folds of tree_folds, one run per leaf of its search."""
     n = len(rows)
     if n == 1:
         yield (rows[0][0],)
@@ -244,14 +247,12 @@ def _tree_fold_runs(
 
     values = [0] * k
     reach = [1 << u for u in range(n)]
-    left = [full] * k  # bitmask of the values still to try
-    end = [0] * k  # where the path from f(i) ends (-1 for the loop)
-    acc = [rows[0][0]] * (k + 1)  # acc[i]: the fold over vertices 0..i-1 (i >= 1)
     triples: dict[int, tuple[list[T], list[list[T]]]] = {}
     repeat, chain = itertools.repeat, itertools.chain.from_iterable
-    root = -1  # the vertex carrying the loop, once one is assigned
-    i = 0
-    while i >= 0:
+
+    def search(i: int, acc: T, rooted: bool) -> Iterator[Iterable[T]]:
+        # f(0), ..., f(i-1) are set, acc is their fold (i >= 1), and rooted
+        # tells whether one of them is the loop
         if i == k:
             key = (reach[c] << n | reach[a]) << n | reach[b]
             entry = triples.get(key)
@@ -259,37 +260,24 @@ def _tree_fold_runs(
                 entry = triples[key] = triple(reach[c], reach[a], reach[b])
             heads, entries = entry
             if k:
-                heads = map(op, repeat(acc[k]), heads)
+                heads = map(op, repeat(acc), heads)
             yield chain(map(map, repeat(op), map(repeat, heads), entries))
-            i -= 1
-        elif not left[i]:
-            i -= 1
-        else:
-            r = left[i]
-            low = r & -r
-            left[i] = r ^ low
-            v = low.bit_length() - 1
+            return
+        ri = reach[i]
+        for v in range(n):
+            if ri >> v & 1 and (v != i or rooted):
+                continue
             values[i] = v
-            acc[i + 1] = op(acc[i], rows[i][v]) if i else rows[0][v]
-            if v == i:
-                root = i
-                end[i] = -1
-            else:
-                t = v
-                while t < i and values[t] != t:
-                    t = values[t]
-                reach[t] |= reach[i]
-                end[i] = t
-            i += 1
-            if i < k:
-                left[i] = full ^ reach[i] | (root < 0) << i
-            continue
-        if i >= 0:  # take back the assignment at position i
-            t = end[i]
-            if t < 0:
-                root = -1
-            else:
-                reach[t] ^= reach[i]
+            t = v  # where the path from v ends: the loop or an unassigned vertex
+            while t < i and values[t] != t:
+                t = values[t]
+            kept = reach[t]
+            reach[t] |= ri
+            fold = op(acc, rows[i][v]) if i else rows[0][v]
+            yield from search(i + 1, fold, rooted or v == i)
+            reach[t] = kept
+
+    yield from search(0, rows[0][0], False)
 
 
 def functional_trees(n: int) -> Iterator[tuple[int, ...]]:

@@ -515,6 +515,9 @@ class TestUsageErrors:
                 "label -1 outside [0, 2)",
             ),
             (("labels", "--graph", "-1:0"), "digraph text declares n=-1 but lists 1 values"),
+            # an abbreviated flag takes its value as the full one does
+            (("coeff", "--which", "f", "--seq", "-1,3"), "label -1 outside [0, 2)"),
+            (("labels", "--gr", "-1:0"), "digraph text declares n=-1 but lists 1 values"),
         ],
     )
     def test_value_starting_with_a_dash_and_digit(self, capsys, argv, message):

@@ -100,6 +100,15 @@ class TestOracleGenerators:
         ]
         assert list(functional_trees(n)) == expected
 
+    def test_functional_trees_at_four_search_levels(self):
+        # strictly increasing, all trees and n^(n-1) of them (Cayley): so
+        # exactly the filter's output, without the 7^7-table scan
+        n = 7
+        trees = list(functional_trees(n))
+        assert all(s < t for s, t in zip(trees, trees[1:]))
+        assert all(is_functional_tree(FunctionalDigraph(t)) for t in trees)
+        assert len(trees) == n ** (n - 1)
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_graceful_tables_match_the_filter(self, n):
         expected = [v for v in all_value_tables(n) if _labels_are_graceful(v)]
@@ -137,7 +146,7 @@ class TestOracleGenerators:
         assert tables
         assert all(t[0] == 0 for t in tables)
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_tree_folds_keep_the_edge_order(self, n):
         # concatenation does not commute, so each fold must take the edges
         # of its tree in vertex order, trees in lexicographic order

@@ -431,7 +431,7 @@ class TestComputeP:
         sym, anti = reversal_blocks(n)
         assert p_laplacian_cofactor(n, n // 2) == det_poly(sym) * det_poly(anti)
 
-    # from n = 8 on, five search levels of tree_folds sit above its caches
+    # from n = 8 on, tree_folds recurses five levels deep before its caches
     @pytest.mark.parametrize("n", range(2, 9))
     def test_matches_bruteforce(self, n):
         assert compute_P(n) == compute_P_bruteforce(n)
