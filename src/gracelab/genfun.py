@@ -103,15 +103,42 @@ def compute_F_bruteforce(n: int) -> SparsePoly:
 
     Choosing one term per row of _label_powers is choosing f, so the
     product over rows visits every function once, and the sum of its
-    choice is that function's exponent.  The rows are split at n // 2:
-    each head sum (a choice of f(0), ..., f(n//2 - 1)) is added to every
-    tail sum, one addition per function, and one Counter counts the
-    exponents as they come.
+    choice is that function's exponent.  With h = n // 2, heads lists the
+    sums of the choices of f(0), ..., f(h-1).  Row n-1-i read backwards is
+    row i (the mirror (i, v) -> (n-1-i, n-1-v) keeps |v - i|), so the sums
+    over the last h rows are heads again, in another order, and for odd n
+    the middle row h is a palindrome.  Hence
+
+        F = sum over m, i, j of x^(heads[i] + rows[h][m] + heads[j]),
+
+    and each addition stands for a class of up to four functions fixed by
+    the indices alone: a pair i < j counts twice and i == j once; a middle
+    value m < h counts twice (m and n-1-m) and the centre m == h once.
+    Even n has no middle row: one class, the term 0.  A Counter counts the
+    exponents as they come, one per addition, with no merge by exponent
+    before the count; the weights then scale the counts.
     """
     rows = _label_powers(n, n + 1)
-    heads = map(sum, itertools.product(*rows[: n // 2]))
-    tails = map(sum, itertools.product(*rows[n // 2 :]))
-    return SparsePoly(Counter(itertools.starmap(add, itertools.product(heads, tails))))
+    h = n // 2
+    heads = list(map(sum, itertools.product(*rows[:h])))
+    if n % 2:
+        middles = [(rows[h][m], 2 if m < h else 1) for m in range(h + 1)]
+    else:
+        middles = [(0, 1)]
+    total = Counter()
+    for term, weight in middles:
+        shifted = [s + term for s in heads]
+        above = Counter(
+            itertools.chain.from_iterable(
+                map(add, itertools.repeat(s), shifted[i + 1 :])
+                for i, s in enumerate(heads)
+            )
+        )
+        for e, c in above.items():
+            total[e] += 2 * weight * c
+        for e, c in Counter(map(add, heads, shifted)).items():
+            total[e] += weight * c
+    return SparsePoly(total)
 
 
 def encode_sequence(labels: Sequence[int], base: int) -> int:

@@ -175,7 +175,8 @@ class TestComputeF:
     def test_n2_expansion(self):
         assert compute_F(2) == SparsePoly({2: 1, 4: 2, 6: 1})
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    # Odd middles at n = 3, 5, 7 and even splits at n = 2, 4, 6.
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_bruteforce(self, n):
         assert compute_F(n) == compute_F_bruteforce(n)
 
@@ -183,11 +184,25 @@ class TestComputeF:
     def test_total_count(self, n):
         assert compute_F(n).eval_at_one() == n**n
 
-    # The scan splits the rows at n // 2: n = 1 has an empty head, n = 2 a
-    # one-row tail, n = 7 an odd split.
+    # The scan pairs n // 2 head rows with their mirrors: at n = 1 the head
+    # is empty and only the middle row is left, n = 2 has one head row and
+    # no middle, n = 7 three head rows and a middle row.
     @pytest.mark.parametrize("n", range(1, 8))
     def test_bruteforce_is_the_per_table_sum(self, n):
         assert compute_F_bruteforce(n) == label_monomials(all_value_tables(n), n + 1)
+
+    # What the scan relies on: the sums over the last n // 2 rows of
+    # (n+1)^|v-i| are the head sums in another order, and for odd n the
+    # middle row is a palindrome.
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_bruteforce_mirror_premise(self, n):
+        rows = [[(n + 1) ** abs(v - i) for v in range(n)] for i in range(n)]
+        h = n // 2
+        heads = sorted(map(sum, itertools.product(*rows[:h])))
+        tails = sorted(map(sum, itertools.product(*rows[n - h :])))
+        assert tails == heads
+        if n % 2:
+            assert rows[h] == rows[h][::-1]
 
     def test_diagonal_determinant_form(self):
         # det(diag(X*1)) of the row-sum diagonal equals the row-sum product
