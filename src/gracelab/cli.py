@@ -36,8 +36,8 @@ MAX_N = {
     "genfun-f": 9,
     "genfun-p": 12,
     "genfun-oracle": 8,
-    "coeff-f": 9,
-    "coeff-p": 12,
+    "coeff-f": 20,
+    "coeff-p": 17,
     "props": 8,
     "tdmtt": 9,
     "whitty": 11,
@@ -81,8 +81,18 @@ _TERM = '["%d","%d"]'
 _TERM_ROW = '    [\n      "%d",\n      "%d"\n    ]'
 
 
+def _filled(template: str, separator: str, poly: SparsePoly) -> str:
+    # The templates of all the terms, joined, are filled by one % operation
+    # with the exponents and coefficients interleaved: no call per term.
+    exponents, coefficients = poly.columns()
+    values = [0] * (2 * len(exponents))
+    values[::2] = exponents
+    values[1::2] = coefficients
+    return separator.join([template] * len(exponents)) % tuple(values)
+
+
 def _poly_json(poly: SparsePoly) -> str:
-    return "[" + ",".join(map(_TERM.__mod__, poly.items())) + "]"
+    return "[" + _filled(_TERM, ",", poly) + "]"
 
 
 class _Rendered(tuple):
@@ -93,7 +103,7 @@ class _Rendered(tuple):
 def _terms_field(poly: SparsePoly) -> _Rendered:
     if not poly:
         return _Rendered(("[]",))
-    return _Rendered(("[\n", ",\n".join(map(_TERM_ROW.__mod__, poly.items())), "\n  ]"))
+    return _Rendered(("[\n", _filled(_TERM_ROW, ",\n", poly), "\n  ]"))
 
 
 def _document(doc: dict) -> list[str]:
@@ -281,9 +291,11 @@ def _cmd_coeff(args) -> tuple[bool, dict | list[str]]:
         exponent = genfun_mod.encode_sequence(labels, base)
     except ValueError as err:
         raise UsageError(str(err)) from None
-    poly = genfun_mod.compute_F(n) if which == "f" else genfun_mod.compute_P(n)
-    coefficient = poly.coefficient(exponent)
-    violations = _count_violations(which, n, poly)
+    # the coefficient is read in a truncated ring, and the count is asserted
+    # on the same construction at x = 1
+    construct = genfun_mod.row_sum_product if which == "f" else genfun_mod.matrix_tree_sum
+    coefficient = genfun_mod.sequence_coefficient(construct, labels)
+    violations = _count_violations(which, n, genfun_mod.value_at_one(construct, n))
     if args.format == "structured":
         doc = {
             "which": which,

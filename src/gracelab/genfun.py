@@ -16,6 +16,15 @@ reverses the edges on one path, which keeps every label |i - f(i)|.  X is
 also Toeplitz, so the Laplacian commutes with the reversal i -> n-1-i, and
 that cofactor splits into two determinants of half the size (compute_P).
 
+One coefficient is read in a truncated ring (label_ring): each label d's
+power x^(base^d) becomes its own variable y_d, every y_d whose label is not
+in the sequence is sent to 0, and every other y_d is kept up to its count.
+That map is a ring homomorphism, so the same constructions (row_sum_product
+for F, matrix_tree_sum for P) run on the mapped matrix and keep the
+sequence's coefficient, while no polynomial they build holds more than
+prod(k_d + 1) terms, k_d the count of label d.  The asserted counts F(1) and
+P(1) come from the same constructions on the matrix of ones (value_at_one).
+
 The three brute-force scans (compute_F_bruteforce, compute_P_bruteforce and
 the tree side of tdmtt_check) each run in the calling process.
 """
@@ -27,7 +36,7 @@ import math
 from collections import Counter, namedtuple
 from functools import reduce
 from operator import add, mul
-from typing import Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from gracelab.digraph import tree_folds
 from gracelab.expansion import IdentityCheck
@@ -51,8 +60,13 @@ __all__ = [
     "det_via_minor_expansion",
     "encode_sequence",
     "graceful_coefficient_F",
+    "label_ring",
+    "matrix_tree_sum",
     "monomial_matrix",
+    "row_sum_product",
+    "sequence_coefficient",
     "tdmtt_check",
+    "value_at_one",
 ]
 
 T = TypeVar("T")
@@ -60,15 +74,17 @@ T = TypeVar("T")
 PolyMatrix = tuple[tuple[SparsePoly, ...], ...]
 
 
+def _toeplitz(images: Sequence[SparsePoly]) -> PolyMatrix:
+    """Symmetric n x n matrix with entry (i, j) = images[|i-j|], n = len(images)."""
+    n = len(images)
+    return tuple(tuple(images[abs(i - j)] for j in range(n)) for i in range(n))
+
+
 def monomial_matrix(n: int, base: int) -> PolyMatrix:
     """Symmetric n x n matrix with entry (i, j) = x^(base^|i-j|)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    powers = [base**d for d in range(n)]
-    return tuple(
-        tuple(SparsePoly({powers[abs(i - j)]: 1}) for j in range(n))
-        for i in range(n)
-    )
+    return _toeplitz([SparsePoly({base**d: 1}) for d in range(n)])
 
 
 def build_F_matrix(n: int) -> PolyMatrix:
@@ -81,16 +97,35 @@ def build_P_matrix(n: int) -> PolyMatrix:
     return monomial_matrix(n, n)
 
 
+def row_sum_product(
+    matrix: Sequence[Sequence[SparsePoly]], within: tuple[int, int] | None = None
+) -> SparsePoly:
+    """F's construction: the product over rows of the row sums of a
+    symmetric Toeplitz matrix, each product truncated by `within` (see
+    SparsePoly.sum_of_products).
+
+    Rows i and n-1-i have the same sum, so the rows go in mirror pairs,
+    outermost first, each pair's sum taken once and multiplied in twice,
+    and the middle row of odd n comes last.  The row sum, with at most n
+    terms, is the outer factor of each product and the partial product the
+    inner one, so each inner loop runs long.
+    """
+    n = len(matrix)
+    result = SparsePoly({0: 1})
+    for i in range((n + 1) // 2):
+        row_sum = reduce(add, matrix[i])
+        for _ in range(1 if 2 * i + 1 == n else 2):
+            result = SparsePoly.sum_of_products([(1, row_sum, result)], within)
+    return result
+
+
 def compute_F(n: int) -> SparsePoly:
     """Product over rows of the row sums of build_F_matrix(n).
 
     Equals the determinant of diag(X * 1) and therefore the sum of one
     monomial per function on Z_n, grouped by label sequence.
     """
-    result = SparsePoly({0: 1})
-    for row in build_F_matrix(n):
-        result = result * reduce(add, row)
-    return result
+    return row_sum_product(build_F_matrix(n))
 
 
 def _label_powers(n: int, base: int) -> list[list[int]]:
@@ -164,9 +199,65 @@ def decode_exponent(e: int, base: int, n: int) -> tuple[int, ...]:
     return tuple(labels)
 
 
+def label_ring(labels: Sequence[int]) -> tuple[list[SparsePoly], int, tuple[int, int]]:
+    """The truncated ring that reads the coefficient of one label sequence.
+
+    Write y_d for x^(base^d), the term of label d in F (base n+1) and P
+    (base n) alike.  No term the constructions build counts a label base
+    times (F's terms hold at most n labels, P's at most n - 1 of one kind),
+    so no digit carries and the y_d act as independent variables.  The map
+    that sends y_d to 0 for every label d not in the sequence, and y_d^c to
+    0 for c above d's count k_d, is a ring homomorphism, and the sequence's
+    own monomial, prod y_d^k_d, survives it.  So a construction run on the
+    mapped matrix yields the coefficient of that monomial unchanged.
+
+    In the image, y_d^c is the exponent c << s_d: label d owns a field of
+    b + 1 bits at bit s_d, with b = k_d.bit_length().  A product of two
+    kept terms has c <= 2 k_d < 2^(b+1) there, so no field carries into the
+    next, and c + 2^b - 1 - k_d sets the field's top bit exactly when
+    c > k_d.  Summed over the fields, those offsets and top bits are the
+    (offset, guard) truncation that SparsePoly.sum_of_products applies.
+
+    Returns the image of y_d for d = 0..n-1 (n = len(labels)), the
+    sequence's exponent in the ring, and (offset, guard).
+    """
+    n = len(labels)
+    counts = Counter(labels)
+    for label in counts:
+        if not 0 <= label < n:
+            raise ValueError(f"label {label} outside [0, {n})")
+    images: list[SparsePoly] = []
+    target = offset = guard = shift = 0
+    for d in range(n):
+        k = counts[d]
+        if not k:
+            images.append(SparsePoly({}))
+            continue
+        b = k.bit_length()
+        images.append(SparsePoly({1 << shift: 1}))
+        target += k << shift
+        offset += ((1 << b) - 1 - k) << shift
+        guard += 1 << (shift + b)
+        shift += b + 1
+    return images, target, (offset, guard)
+
+
+def sequence_coefficient(construct: Callable[..., SparsePoly], labels: Sequence[int]) -> int:
+    """The coefficient of one label sequence in construct's polynomial
+    (row_sum_product for F, matrix_tree_sum for P), read in label_ring."""
+    images, target, within = label_ring(labels)
+    return construct(_toeplitz(images), within).coefficient(target)
+
+
+def value_at_one(construct: Callable[..., SparsePoly], n: int) -> SparsePoly:
+    """construct's polynomial at x = 1: the same construction on the n x n
+    matrix of ones, in the integers (as constant polynomials)."""
+    return construct(_toeplitz([SparsePoly({0: 1})] * n))
+
+
 def graceful_coefficient_F(n: int) -> int:
     """Number of gracefully labeled functional digraphs on Z_n, read off F."""
-    return compute_F(n).coefficient(encode_sequence(range(n), n + 1))
+    return sequence_coefficient(row_sum_product, range(n))
 
 
 def _in_entry_ring(matrix: Sequence[Sequence[object]], poly: SparsePoly):
@@ -182,7 +273,9 @@ def _in_entry_ring(matrix: Sequence[Sequence[object]], poly: SparsePoly):
     return poly
 
 
-def det_via_minor_expansion(matrix: Sequence[Sequence[T]]) -> T:
+def det_via_minor_expansion(
+    matrix: Sequence[Sequence[T]], within: tuple[int, int] | None = None
+) -> T:
     """Exact determinant by Laplace expansion, row by row over column sets.
 
     Rows are consumed bottom-up: level k holds, for every k-column tuple,
@@ -191,7 +284,10 @@ def det_via_minor_expansion(matrix: Sequence[Sequence[T]]) -> T:
     built from level k - 1 alone by expanding along row n - k, the i-th
     column with sign (-1)^i, and then level k - 1 is dropped: at most two
     levels are alive at once.  Each minor is one SparsePoly.sum_of_products:
-    its signed entry * subminor products go straight into one fresh dict.
+    its signed entry * subminor products go straight into one fresh dict,
+    truncated by `within`.  A level keeps only its nonzero minors, and a
+    column set with no nonzero subminor builds nothing: in a truncated ring
+    (label_ring) whole diagonals of the matrix can be zero.
 
     The same expansion serves SparsePoly and int matrices: every nonzero
     entry is read as the polynomial 1 * entry, and the determinant is
@@ -204,21 +300,29 @@ def det_via_minor_expansion(matrix: Sequence[Sequence[T]]) -> T:
     minors: dict[tuple[int, ...], SparsePoly] = {(): unit}
     for k in range(1, n + 1):
         row = [unit * entry if entry else None for entry in matrix[n - k]]
-        minors = {
-            cols: SparsePoly.sum_of_products(
-                (-1 if i % 2 else 1, row[c], minors[cols[:i] + cols[i + 1 :]])
-                for i, c in enumerate(cols)
-                if row[c] is not None
+        level = {}
+        for cols in itertools.combinations(range(n), k):
+            minor = SparsePoly.sum_of_products(
+                (
+                    (-1 if i % 2 else 1, row[c], sub)
+                    for i, c in enumerate(cols)
+                    if row[c] is not None
+                    and (sub := minors.get(cols[:i] + cols[i + 1 :])) is not None
+                ),
+                within,
             )
-            for cols in itertools.combinations(range(n), k)
-        }
-    return _in_entry_ring(matrix, minors[tuple(range(n))])
+            if minor:
+                level[cols] = minor
+        minors = level
+    return _in_entry_ring(matrix, minors.get(tuple(range(n)), SparsePoly({})))
 
 
-def det_poly(matrix: Sequence[Sequence[SparsePoly]]) -> SparsePoly:
+def det_poly(
+    matrix: Sequence[Sequence[SparsePoly]], within: tuple[int, int] | None = None
+) -> SparsePoly:
     """Exact determinant of a matrix of sparse polynomials (the empty
     matrix counts as all-int: its determinant is the int 1)."""
-    return det_via_minor_expansion(matrix)
+    return det_via_minor_expansion(matrix, within)
 
 
 def _row_sum_laplacian(matrix: Sequence[Sequence[T]]) -> list[list[T]]:
@@ -232,16 +336,20 @@ def _row_sum_laplacian(matrix: Sequence[Sequence[T]]) -> list[list[T]]:
     return out
 
 
-def compute_P(n: int) -> SparsePoly:
-    """Functional-tree generating function from two half-size determinants.
+def matrix_tree_sum(
+    matrix: Sequence[Sequence[SparsePoly]], within: tuple[int, int] | None = None
+) -> SparsePoly:
+    """P's construction: the functional-tree sum of a symmetric Toeplitz
+    matrix X from two half-size determinants, each product truncated by
+    `within` (see SparsePoly.sum_of_products).
 
     The directed matrix tree theorem gives P as the sum over roots i of
     X[i,i] * det L^(i), where L = diag(X * 1) - X and L^(i) drops row and
     column i.  X is symmetric, so L has zero column sums as well as zero row
     sums, and then all n principal cofactors det L^(i) equal one tau
-    (Kirchhoff).  Every X[i,i] is x, so P = n * x * tau.  In terms of trees:
-    an edge label |i - f(i)| does not depend on the edge's direction, so
-    re-rooting a tree keeps its label sequence.
+    (Kirchhoff).  Every X[i,i] is X[0,0] (x, in P), so P = n * x * tau.  In
+    terms of trees: an edge label |i - f(i)| does not depend on the edge's
+    direction, so re-rooting a tree keeps its label sequence.
 
     X is also symmetric Toeplitz, so L commutes with the reversal
     i -> n-1-i.  With h = n // 2 and i, j < h, L splits into the blocks
@@ -255,18 +363,28 @@ def compute_P(n: int) -> SparsePoly:
               needs no division.
     Both blocks have at most h rows; nearly all the work is the one product.
     """
+    n = len(matrix)
     if n < 2:
         raise ValueError("need n >= 2")
-    matrix = build_P_matrix(n)
     laplacian = _row_sum_laplacian(matrix)
     h = n // 2
     sym = [[row[j] + row[n - 1 - j] for j in range(h)] for row in laplacian[:h]]
     anti = [[row[j] - row[n - 1 - j] for j in range(h)] for row in laplacian[:h]]
     if n % 2:
-        scale, det_sym = n, det_poly(sym)
+        scale, det_sym = n, det_poly(sym, within)
     else:
-        scale, det_sym = h, det_poly([row[:-1] for row in sym[:-1]])
-    return SparsePoly.sum_of_products([(scale, matrix[0][0] * det_sym, det_poly(anti))])
+        scale, det_sym = h, det_poly([row[:-1] for row in sym[:-1]], within)
+    # L holds no X[i,i] (its diagonal is the row sum less X[i,i]), so det_sym
+    # holds no power of X[0,0]: X[0,0] * det_sym needs no truncation
+    return SparsePoly.sum_of_products(
+        [(scale, matrix[0][0] * det_sym, det_poly(anti, within))], within
+    )
+
+
+def compute_P(n: int) -> SparsePoly:
+    """Functional-tree generating function: matrix_tree_sum of
+    build_P_matrix(n), from two half-size determinants."""
+    return matrix_tree_sum(build_P_matrix(n))
 
 
 def compute_P_bruteforce(n: int) -> SparsePoly:

@@ -36,6 +36,13 @@ class SparsePoly:
         terms = self._terms
         return [(e, terms[e]) for e in sorted(terms)]
 
+    def columns(self) -> tuple[list[int], list[int]]:
+        """The exponents in ascending order and their coefficients in the
+        same order: items() as two lists, with no pair built per term."""
+        terms = self._terms
+        exponents = sorted(terms)
+        return exponents, list(map(terms.__getitem__, exponents))
+
     def coefficient(self, exponent: int) -> int:
         return self._terms.get(exponent, 0)
 
@@ -100,21 +107,41 @@ class SparsePoly:
 
     @classmethod
     def sum_of_products(
-        cls, terms: Iterable[tuple[int, "SparsePoly", "SparsePoly"]]
+        cls,
+        terms: Iterable[tuple[int, "SparsePoly", "SparsePoly"]],
+        within: tuple[int, int] | None = None,
     ) -> "SparsePoly":
         """Sum of sign * a * b over (sign, a, b) triples, built in one fresh
         dict: no polynomial per product and no copy per partial sum.  Zero
         coefficients are dropped once, at the end.  This is the only product
-        loop: a * b is the single triple (1, a, b)."""
+        loop: a * b is the single triple (1, a, b).
+
+        within = (offset, guard) truncates: a product term x^e is summed
+        only if (e + offset) & guard == 0, and any other is skipped before
+        it is stored.  genfun.label_ring builds the pair for exponents that
+        hold one bit field per variable, so that the test drops exactly the
+        terms with a variable above its bound."""
         out: dict[int, int] = {}
         get = out.get
-        for sign, a, b in terms:
-            b_terms = b._terms.items()
-            for e1, c1 in a._terms.items():
-                c1 *= sign
-                for e2, c2 in b_terms:
-                    e = e1 + e2
-                    out[e] = get(e, 0) + c1 * c2
+        if within is None:
+            for sign, a, b in terms:
+                b_terms = b._terms.items()
+                for e1, c1 in a._terms.items():
+                    c1 *= sign
+                    for e2, c2 in b_terms:
+                        e = e1 + e2
+                        out[e] = get(e, 0) + c1 * c2
+        else:
+            offset, guard = within
+            for sign, a, b in terms:
+                b_terms = b._terms.items()
+                for e1, c1 in a._terms.items():
+                    c1 *= sign
+                    top = e1 + offset
+                    for e2, c2 in b_terms:
+                        if not (top + e2) & guard:
+                            e = e1 + e2
+                            out[e] = get(e, 0) + c1 * c2
         return cls._wrap({e: c for e, c in out.items() if c})
 
     def to_pairs(self) -> list[list[str]]:

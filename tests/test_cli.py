@@ -175,29 +175,44 @@ class TestCoeff:
         assert out == "exponent: 21\ncoefficient: 6\n"
 
     def test_p_path_sequence_one_below_the_ceiling(self, capsys):
-        # n = 11, one below the coeff-p ceiling of 12: one loop and ten
-        # label-1 edges, the path rooted at any of its 11 vertices
-        sequence = ",".join(["0"] + ["1"] * 10)
+        # one below the coeff-p ceiling: one loop and n-1 label-1 edges, the
+        # path rooted at any of its n vertices
+        n = cli.MAX_N["coeff-p"] - 1
+        sequence = ",".join(["0"] + ["1"] * (n - 1))
         code, out, _ = invoke(capsys, "coeff", "--which", "p", "--sequence", sequence)
         assert code == 0
-        assert out.splitlines()[1] == "coefficient: 11"
+        assert out.splitlines()[1] == f"coefficient: {n}"
+
+    def test_p_graceful_sequence_at_thirteen(self, capsys):
+        # 13 * G(13): 8,733,628 graceful trees rooted at 0, each rooted anywhere
+        sequence = ",".join(map(str, range(13)))
+        code, out, _ = invoke(capsys, "coeff", "--which", "p", "--sequence", sequence)
+        assert code == 0
+        assert out.splitlines()[1] == "coefficient: 113537164"
 
     def test_p_past_the_ceiling_is_usage_error(self, capsys):
-        sequence = ",".join(["0"] + ["1"] * 12)
+        sequence = ",".join(["0"] + ["1"] * 17)
         code, out, err = invoke(capsys, "coeff", "--which", "p", "--sequence", sequence)
         assert code == 2 and out == ""
-        assert "coeff-p: n=13 outside feasible range [2, 12]" in err
+        assert "coeff-p: n=18 outside feasible range [2, 17]" in err
+
+    def test_f_past_the_ceiling_is_usage_error(self, capsys):
+        sequence = ",".join(map(str, range(21)))
+        code, out, err = invoke(capsys, "coeff", "--which", "f", "--sequence", sequence)
+        assert code == 2 and out == ""
+        assert "coeff-f: n=21 outside feasible range [1, 20]" in err
 
 
 class TestCountInvariant:
     """F(1) = n^n and P(1) = n^(n-1) are asserted on every polynomial the
-    CLI builds; a perturbed polynomial exits 1 and names the failure."""
+    CLI builds, and coeff asserts them on its construction at x = 1; a
+    perturbed polynomial or construction exits 1 and names the failure."""
 
     CASES = [
         (("genfun", "--which", "p", "--n", "4"), "compute_P", "P(1) = 65 != 4^3 = 64"),
         (("genfun", "--which", "f", "--n", "3"), "compute_F", "F(1) = 28 != 3^3 = 27"),
-        (("coeff", "--which", "p", "--sequence", "0,1,1,2"), "compute_P", "P(1) = 65 != 4^3 = 64"),
-        (("coeff", "--which", "f", "--sequence", "0,1,2"), "compute_F", "F(1) = 28 != 3^3 = 27"),
+        (("coeff", "--which", "p", "--sequence", "0,1,1,2"), "matrix_tree_sum", "P(1) = 65 != 4^3 = 64"),
+        (("coeff", "--which", "f", "--sequence", "0,1,2"), "row_sum_product", "F(1) = 28 != 3^3 = 27"),
     ]
 
     @pytest.mark.parametrize(("argv", "name", "violation"), CASES)
@@ -207,7 +222,7 @@ class TestCountInvariant:
 
         _, passing, _ = invoke(capsys, *argv)
         original = getattr(genfun, name)
-        monkeypatch.setattr(genfun, name, lambda n: original(n) + SparsePoly({0: 1}))
+        monkeypatch.setattr(genfun, name, lambda *args: original(*args) + SparsePoly({0: 1}))
         code, out, _ = invoke(capsys, *argv)
         assert code == 1
         assert out.splitlines()[-1] == f"invariant failed: {violation}"

@@ -1,6 +1,8 @@
+import functools
 import itertools
 import math
 import os
+import random
 from collections import Counter
 
 import pytest
@@ -21,9 +23,14 @@ from gracelab.genfun import (
     encode_sequence,
     f_extremal_sequence,
     graceful_coefficient_F,
+    label_ring,
+    matrix_tree_sum,
     monomial_matrix,
     p_extremal_sequence,
+    row_sum_product,
+    sequence_coefficient,
     tdmtt_check,
+    value_at_one,
 )
 from gracelab.polyring import SparsePoly
 from gracelab.seeds import Lcg, integer_matrix
@@ -286,6 +293,119 @@ class TestGracefulCoefficient:
             if is_gracefully_labeled(FunctionalDigraph(values))
         )
         assert graceful_coefficient_F(n) == direct
+
+
+@functools.cache
+def full_polynomials(n):
+    """F and P (None at n = 1) in full, built once per n for the tests below."""
+    return compute_F(n), compute_P(n) if n >= 2 else None
+
+
+def assert_coefficients_match(n, sequences):
+    F, P = full_polynomials(n)
+    for labels in sequences:
+        assert sequence_coefficient(row_sum_product, labels) == F.coefficient(
+            encode_sequence(labels, n + 1)
+        ), labels
+        if P is not None:
+            assert sequence_coefficient(matrix_tree_sum, labels) == P.coefficient(
+                encode_sequence(labels, n)
+            ), labels
+
+
+def sampled_sequences(n, count=12):
+    """Random label multisets, and sequences read off the supports of F and
+    P so that most coefficients are nonzero."""
+    rng = random.Random(f"sequence-coefficient:{n}")
+    F, P = full_polynomials(n)
+    out = [tuple(sorted(rng.randrange(n) for _ in range(n))) for _ in range(count)]
+    for poly, base in ((F, n + 1), (P, n)):
+        exponents = [e for e, _ in poly.items()]
+        out += [decode_exponent(e, base, n) for e in rng.sample(exponents, count)]
+    return out
+
+
+# G(n), the gracefully labeled trees rooted at 0 (A033472 by recollection,
+# not checked; pinned from the computation)
+GRACEFUL_TREES = {9: 4020, 10: 23576, 11: 155632, 12: 1112032, 13: 8733628}
+
+
+class TestSequenceCoefficient:
+    """The truncated ring of label_ring reads the same coefficient as the
+    full polynomial."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_multiset_matches_the_full_polynomials(self, n):
+        assert_coefficients_match(n, itertools.combinations_with_replacement(range(n), n))
+
+    @pytest.mark.parametrize("n", range(7, 11))
+    def test_graceful_chain_and_sampled_sequences_match(self, n):
+        chain = (0,) + (1,) * (n - 1)
+        assert_coefficients_match(n, [tuple(range(n)), chain, *sampled_sequences(n)])
+
+    @pytest.mark.parametrize("n", sorted(GRACEFUL_TREES))
+    def test_graceful_sequence_counts_the_graceful_trees(self, n):
+        # every graceful tree rooted at 0 can be rooted at any of its n vertices
+        coefficient = sequence_coefficient(matrix_tree_sum, range(n))
+        assert coefficient == n * GRACEFUL_TREES[n]
+        if n <= 12:
+            assert coefficient == compute_P(n).coefficient(encode_sequence(range(n), n))
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_value_at_one_is_the_count(self, n):
+        assert value_at_one(row_sum_product, n) == SparsePoly({0: n**n})
+        if n >= 2:
+            assert value_at_one(matrix_tree_sum, n) == SparsePoly({0: n ** (n - 1)})
+
+    @pytest.mark.parametrize("labels", [(0,), (0, 1, 1, 1, 3, 3, 3, 3, 3), (2, 2, 0, 4, 4)])
+    def test_truncation_keeps_exactly_the_powers_within_the_counts(self, labels):
+        # every product of two kept terms has each power c_d <= 2 k_d; the
+        # guard passes it exactly when c_d <= k_d for every label d
+        images, target, (offset, guard) = label_ring(labels)
+        counts = Counter(labels)
+        units = {d: images[d].min_degree() for d in counts}
+        assert [d for d, image in enumerate(images) if not image] == [
+            d for d in range(len(labels)) if d not in counts
+        ]
+        assert target == sum(k * units[d] for d, k in counts.items())
+        for powers in itertools.product(*(range(2 * k + 1) for k in counts.values())):
+            e = sum(c * units[d] for c, d in zip(powers, counts))
+            kept = all(c <= k for c, k in zip(powers, counts.values()))
+            assert (not (e + offset) & guard) == kept
+
+    def test_ring_rejects_a_label_outside_the_range(self):
+        with pytest.raises(ValueError, match="label 3 outside"):
+            label_ring((0, 3, 1))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_truncated_determinant_is_the_truncated_full_one(self, seed):
+        # the map to the truncated ring commutes with the determinant: a
+        # full determinant, with each label a base-64 digit (no carries at
+        # these sizes), truncated term by term equals the ring's determinant
+        rng = random.Random(seed)
+        labels = tuple(rng.randrange(4) for _ in range(4))
+        images, _, within = label_ring(labels)
+        counts = Counter(labels)
+        size = rng.randrange(1, 5)
+        cells = [[[rng.randrange(-3, 4) for _ in counts] for _ in range(size)] for _ in range(size)]
+
+        def matrix_with(units):
+            return [[SparsePoly(dict(zip(units, cell))) for cell in row] for row in cells]
+
+        wide = [64**j for j in range(len(counts))]
+        units = [images[d].min_degree() for d in counts]
+        kept = Counter()
+        for e, c in det_via_minor_expansion(matrix_with(wide)).items():
+            powers = [e // w % 64 for w in wide]
+            if all(p <= k for p, k in zip(powers, counts.values())):
+                kept[sum(p * u for p, u in zip(powers, units))] += c
+        assert det_via_minor_expansion(matrix_with(units), within) == SparsePoly(kept)
+
+    def test_graceful_coefficient_of_F_is_read_in_the_ring(self):
+        for n in range(1, 9):
+            assert graceful_coefficient_F(n) == full_polynomials(n)[0].coefficient(
+                encode_sequence(range(n), n + 1)
+            )
 
 
 class TestDeterminant:

@@ -93,6 +93,22 @@ class TestArithmetic:
         assert not got and got.items() == []
         assert not SparsePoly.sum_of_products([])
 
+    @settings(max_examples=60, derandomize=True)
+    @given(small_polys, small_polys, small_polys, st.integers(0, 2**12), st.integers(1, 2**12))
+    def test_within_keeps_exactly_the_passing_terms(self, p, q, r, offset, guard):
+        # the truncation is the plain sum with the failing exponents dropped
+        within = (offset, guard)
+        plain = SparsePoly.sum_of_products([(1, p, q), (-1, q, r)])
+        kept = {e: c for e, c in plain.items() if not (e + offset) & guard}
+        assert SparsePoly.sum_of_products([(1, p, q), (-1, q, r)], within) == SparsePoly(kept)
+
+    def test_within_truncates_one_bit_field(self):
+        # y = x^1 in a two-bit field kept up to y^1: offset 0, guard bit 1,
+        # so (1 + y)^2 = 1 + 2y + y^2 loses y^2
+        one_plus_y = poly_of((0, 1), (1, 1))
+        got = SparsePoly.sum_of_products([(1, one_plus_y, one_plus_y)], (0, 2))
+        assert got == poly_of((0, 1), (1, 2))
+
 
 class TestQueries:
     def test_eval_at_one(self):
@@ -116,6 +132,12 @@ class TestQueries:
 
     def test_term_count(self):
         assert poly_of((1, 1), (5, 2), (9, -1)).term_count() == 3
+
+    def test_columns_are_the_items_as_two_lists(self):
+        p = poly_of((6, 1), (2, -3), (10**30, 2))
+        assert p.columns() == ([2, 6, 10**30], [-3, 1, 2])
+        assert list(zip(*p.columns())) == p.items()
+        assert SparsePoly({}).columns() == ([], [])
 
 
 class TestRingAxioms:
