@@ -206,13 +206,19 @@ class TestCoeff:
 class TestCountInvariant:
     """F(1) = n^n and P(1) = n^(n-1) are asserted on every polynomial the
     CLI builds, and coeff asserts them on its construction at x = 1; a
-    perturbed polynomial or construction exits 1 and names the failure."""
+    perturbed polynomial exits 1 and names the failure.
+
+    The fault goes into the construction behind compute_P / compute_F,
+    which genfun runs through those functions and coeff runs in the
+    truncated ring, so one fault is seen by both commands."""
+
+    CONSTRUCTION = {"compute_P": "matrix_tree_sum", "compute_F": "row_sum_product"}
 
     CASES = [
         (("genfun", "--which", "p", "--n", "4"), "compute_P", "P(1) = 65 != 4^3 = 64"),
         (("genfun", "--which", "f", "--n", "3"), "compute_F", "F(1) = 28 != 3^3 = 27"),
-        (("coeff", "--which", "p", "--sequence", "0,1,1,2"), "matrix_tree_sum", "P(1) = 65 != 4^3 = 64"),
-        (("coeff", "--which", "f", "--sequence", "0,1,2"), "row_sum_product", "F(1) = 28 != 3^3 = 27"),
+        (("coeff", "--which", "p", "--sequence", "0,1,1,2"), "compute_P", "P(1) = 65 != 4^3 = 64"),
+        (("coeff", "--which", "f", "--sequence", "0,1,2"), "compute_F", "F(1) = 28 != 3^3 = 27"),
     ]
 
     @pytest.mark.parametrize(("argv", "name", "violation"), CASES)
@@ -221,8 +227,11 @@ class TestCountInvariant:
         from gracelab.polyring import SparsePoly
 
         _, passing, _ = invoke(capsys, *argv)
-        original = getattr(genfun, name)
-        monkeypatch.setattr(genfun, name, lambda *args: original(*args) + SparsePoly({0: 1}))
+        construction = self.CONSTRUCTION[name]
+        original = getattr(genfun, construction)
+        monkeypatch.setattr(
+            genfun, construction, lambda *args: original(*args) + SparsePoly({0: 1})
+        )
         code, out, _ = invoke(capsys, *argv)
         assert code == 1
         assert out.splitlines()[-1] == f"invariant failed: {violation}"
