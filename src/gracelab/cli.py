@@ -178,24 +178,25 @@ def _cmd_grl(args) -> tuple[bool, dict | list[str]]:
 def _cmd_gammas(args) -> tuple[bool, dict | list[str]]:
     n = args.n
     _gate("gammas", n, minimum=2)
-    # the same text as Permutation.format, written by the kernel itself
-    gammas = expansion_mod.valid_gammas(n, ["0", *(",%d" % v for v in range(1, n))])
+    # one line per gamma, the same text as Permutation.format
+    text = expansion_mod.valid_gammas(n)
+    enumerated = text.count("\n") + 1
     count = expansion_mod.count_valid_gammas(n)
-    agree = len(gammas) == count
+    agree = enumerated == count
     if args.format == "structured":
-        # written as its indent-2 JSON list: the strings hold only digits
+        # written as its indent-2 JSON list: the lines hold only digits
         # and commas, so none needs escaping; n >= 2 lists at least one
         return agree, {
             "n": n,
-            "gammas": _Rendered(('[\n    "', '",\n    "'.join(gammas), '"\n  ]')),
-            "enumerated": len(gammas),
+            "gammas": _Rendered(('[\n    "', text.replace("\n", '",\n    "'), '"\n  ]')),
+            "enumerated": enumerated,
             "formula": count,
             "status": "pass" if agree else "fail",
         }
-    lines = gammas[: args.limit]
-    lines.append(f"{len(gammas)} = {(n - 1) // 2}!*{n // 2}!")
+    lines = [text] if args.limit is None else text.split("\n", args.limit)[: args.limit]
+    lines.append(f"{enumerated} = {(n - 1) // 2}!*{n // 2}!")
     if not agree:
-        lines.append(f"MISMATCH: enumerated {len(gammas)}, formula {count}")
+        lines.append(f"MISMATCH: enumerated {enumerated}, formula {count}")
     return agree, lines
 
 

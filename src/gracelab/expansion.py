@@ -15,7 +15,7 @@ import itertools
 import math
 from collections import namedtuple
 from operator import getitem
-from typing import Sequence, TypeVar
+from typing import Sequence
 
 from gracelab.digraph import (
     FunctionalDigraph,
@@ -40,9 +40,6 @@ __all__ = [
     "tau_bruteforce",
     "valid_gammas",
 ]
-
-T = TypeVar("T")
-
 
 class GracefulExpansion(namedtuple("GracefulExpansion", "sigma gamma p")):
     """Triple (sigma, gamma, p) parametrizing a graceful labeling."""
@@ -113,73 +110,94 @@ def _values(mask: int) -> list[int]:
     return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
-def valid_gammas(n: int, pieces: Sequence[T]) -> list[T]:
-    """Every valid gamma on Z_n as pieces[0] + pieces[g(1)] + ... +
-    pieces[g(n-1)], in ascending order of g.
+def valid_gammas(n: int) -> str:
+    """Every valid gamma on Z_n as one text, a line per gamma in
+    Permutation.format's form, in ascending order of g.
 
     Index i >= 1 may take the values 1..max(i, n-1-i).  Indices 1, 2, ...
     are assigned in turn, each trying the values left in increasing order,
     so each set of values left has one ordered list of completions and the
-    gammas come out sorted.  From index n // 2 on those lists are memoized,
-    keyed by the bitmask of the values left; above it nothing is shared.
-    Each completion carries its signature, the sum of (n+1)^v over its
-    values.  n values give each base-(n+1) digit a count of at most n, so
-    a gamma is a permutation of Z_n exactly when its signature is the sum of
-    (n+1)^k over k < n; every gamma is checked so before it is returned,
-    else ValueError.
+    gammas come out sorted.  From index n // 2 - 1 on those lists are
+    memoized, keyed by the bitmask of the values left, each as one block of
+    lines: a block is its children's blocks with each line prefixed by the
+    child's value, and each head above that index is prefixed onto its block
+    the same way, so the string routines copy the text and no object is made
+    per gamma.
+
+    The signature of a set of values is the sum of (n+1)^v over it.  n
+    values give each base-(n+1) digit a count of at most n, so a gamma is a
+    permutation of Z_n exactly when its signature is the sum of (n+1)^k over
+    k < n.  A block at the last index checks each value it lists against the
+    signature of its mask; every other block checks that the value placed
+    before each child plus the child's signature is the signature of its
+    mask; and each head checks that its signature plus its block's is that
+    sum, also when the block was built for another head.  So every listed
+    gamma is checked; else ValueError.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     top = n - 1
+    texts = ["0", *(",%d" % v for v in range(1, n))]
     weights = [(n + 1) ** v for v in range(n)]
     target = sum(weights)
     allowed = [(2 << max(i, top - i)) - 2 for i in range(n)]  # values 1..max as bits
-    memo: dict[int, tuple[list[T], list[int]]] = {}
-    out: list[T] = []
+    memo: dict[int, tuple[str, int]] = {}
+    out: list[str] = []
 
-    def completions(i: int, left: int) -> tuple[list[T], list[int]]:
+    def fault(gamma: str) -> ValueError:
+        return ValueError(f"not a permutation of Z_{n}: {gamma}")
+
+    def completions(i: int, left: int, head: str) -> tuple[str, int]:
+        # head: the text of indices 0..i-1 on the first path to left, for errors
         done = memo.get(left)
         if done is None:
+            sig = sum(w for v, w in enumerate(weights) if left >> v & 1)
             if i == top:
                 vs = _values(left)
-                done = [pieces[v] for v in vs], [weights[v] for v in vs]
+                bad = next((v for v in vs if weights[v] != sig), None)
+                if bad is not None:
+                    raise fault(head + texts[bad])
+                text = "\n".join([texts[v] for v in vs])
             else:
-                items: list[T] = []
-                sigs: list[int] = []
+                blocks = []
                 for v in _values(left & allowed[i]):
-                    rest, rest_sigs = completions(i + 1, left & ~(1 << v))
-                    items += map(pieces[v].__add__, rest)
-                    sigs += map(weights[v].__add__, rest_sigs)
-                done = items, sigs
-            memo[left] = done
+                    piece = texts[v]
+                    block, rest = completions(i + 1, left & ~(1 << v), head + piece)
+                    if weights[v] + rest != sig:
+                        raise fault(head + piece + block.partition("\n")[0])
+                    if block:  # "" is a block of no lines, not of one empty line
+                        blocks.append(piece + block.replace("\n", "\n" + piece))
+                text = "\n".join(blocks)
+            memo[left] = done = text, sig
         return done
 
-    def extend(i: int, left: int, head: T, sig: int) -> None:
-        if i < n // 2:
+    def extend(i: int, left: int, head: str, sig: int) -> None:
+        if i < n // 2 - 1:
             for v in _values(left & allowed[i]):
-                extend(i + 1, left & ~(1 << v), head + pieces[v], sig + weights[v])
+                extend(i + 1, left & ~(1 << v), head + texts[v], sig + weights[v])
             return
-        items, sigs = completions(i, left)
-        need = target - sig
-        if sigs.count(need) != len(sigs):
-            bad = next(k for k, s in enumerate(sigs) if s != need)
-            raise ValueError(f"not a permutation of Z_{n}: {head + items[bad]!r}")
-        out.extend(map(head.__add__, items))
+        block, rest = completions(i, left, head)
+        if sig != target - rest:
+            raise fault(head + block.partition("\n")[0])
+        if block:
+            out.append(head + block.replace("\n", "\n" + head))
 
-    extend(1, (1 << n) - 2, pieces[0], weights[0])
+    extend(1, (1 << n) - 2, texts[0], weights[0])
     memo.clear()  # the closures form a cycle that would keep the memo alive
-    return out
+    return "\n".join(out)
 
 
 def enumerate_valid_gammas(n: int) -> list[Permutation]:
     """Enumerate the valid gammas as Permutations, in ascending order.
 
-    A wrapper over the one enumeration, valid_gammas over one-tuples: every
-    image tuple is checked to be a permutation of Z_n (ValueError otherwise)
-    before any Permutation is built.  The CLI lists the gammas as text from
-    the same kernel.
+    A parse of valid_gammas, the one enumeration, whose permutation check
+    runs (ValueError otherwise) before any Permutation is built.  The CLI
+    prints that text as it is.
     """
-    return [Permutation(values) for values in valid_gammas(n, [(v,) for v in range(n)])]
+    return [
+        Permutation(tuple(map(int, line.split(","))))
+        for line in valid_gammas(n).split("\n")
+    ]
 
 
 def count_valid_gammas(n: int) -> int:

@@ -37,7 +37,7 @@ def identity_expansion(gamma, p):
     "build",
     [
         enumerate_valid_gammas_by_filter,
-        lambda n: valid_gammas(n, [(v,) for v in range(n)]),
+        valid_gammas,
         count_valid_gammas,
         tau_bounds,
     ],
@@ -164,18 +164,42 @@ class TestEnumerateValidGammas:
     @pytest.mark.parametrize("n", range(2, 10))
     def test_tuples_match_filter_oracle_in_order(self, n):
         oracle = enumerate_valid_gammas_by_filter(n)
-        tuples = valid_gammas(n, [(v,) for v in range(n)])
+        lines = valid_gammas(n).split("\n")
+        assert lines == [g.format() for g in oracle]
+        tuples = [tuple(map(int, line.split(","))) for line in lines]
         assert tuples == [g.values for g in oracle]
         assert all(is_valid_gamma(Permutation(values)) for values in tuples)
-        lines = valid_gammas(n, ["0", *(",%d" % v for v in range(1, n))])
-        assert lines == [g.format() for g in oracle]
+
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_listing_past_the_filter_oracle(self, n):
+        # most heads here reuse a memoized block of another head
+        lines = valid_gammas(n).split("\n")
+        assert len(lines) == count_valid_gammas(n)
+        values = [tuple(map(int, line.split(","))) for line in lines]
+        assert all(sorted(gamma) == list(range(n)) for gamma in values)
+        assert all(is_valid_gamma(Permutation(gamma)) for gamma in values)
+        assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_a_tuple_that_is_no_permutation_raises(self, monkeypatch):
         # a kernel that never takes value 1 out of the values left repeats it
         values = expansion._values
         monkeypatch.setattr(expansion, "_values", lambda mask: values(mask | 0b10))
-        with pytest.raises(ValueError, match=r"not a permutation of Z_5: \(0, 1, 1"):
+        with pytest.raises(ValueError, match=r"not a permutation of Z_5: 0,1,1"):
             enumerate_valid_gammas(5)
+
+    def test_a_block_that_places_a_value_not_left_raises(self, monkeypatch):
+        # a kernel that lists nothing for two values and repeats value 1
+        # among three or more: at n = 7 a block places 1 before a child
+        # block of no lines, which no last-index check sees
+        values = expansion._values
+
+        def faulty(mask):
+            count = mask.bit_count()
+            return values(mask) if count == 1 else [] if count == 2 else values(mask | 0b10)
+
+        monkeypatch.setattr(expansion, "_values", faulty)
+        with pytest.raises(ValueError, match=r"not a permutation of Z_7: 0,1,1$"):
+            valid_gammas(7)
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_count_matches_enumeration(self, n):
