@@ -193,7 +193,12 @@ def _cmd_gammas(args) -> tuple[bool, dict | list[str]]:
             "formula": count,
             "status": "pass" if agree else "fail",
         }
-    lines = [text] if args.limit is None else text.split("\n", args.limit)[: args.limit]
+    if args.limit is None:
+        lines = [text]
+    else:  # joined into one line: _execute writes each line apart
+        lines = text.split("\n", args.limit)[: args.limit]
+        del text  # not held while its first lines are joined
+        lines = ["\n".join(lines)] if lines else []
     lines.append(f"{enumerated} = {(n - 1) // 2}!*{n // 2}!")
     if not agree:
         lines.append(f"MISMATCH: enumerated {enumerated}, formula {count}")
@@ -581,8 +586,10 @@ def _execute(argv: Sequence[str]) -> tuple[int, list[str]]:
     code = 0 if ok else 1
     if args.format == "structured":
         return code, _document({"command": args.command, **out})
-    out.append("")  # the final newline; no lines write nothing
-    return code, ["\n".join(out)]
+    # each line and its newline are pieces of their own, so no line is
+    # copied into a joined text (the gammas listing is one 15 MB line at
+    # n = 13); no lines write nothing
+    return code, [piece for line in out for piece in (line, "\n")]
 
 
 # Each piece is written a slice at a time, so that encoding it never makes

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from operator import add
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 __all__ = [
     "Permutation",
@@ -173,20 +173,21 @@ def tree_folds(rows: Sequence[Sequence[T]], op: Callable[[T, T], T]) -> Iterator
     of the vertices whose path ends at u, so the cycle test is one bit of
     reach[i].  f(i) = v joins reach[i] to the reach of the vertex t where
     v's path ends (t = i for the loop), and the recursion restores reach[t]
-    when it returns.  The last three vertices, c = n-3, a = n-2 and
-    b = n-1, are placed from two caches.  Once f(0), ..., f(c-1) are set,
-    every path ends at c, a, b or the loop, so (reach[c], reach[a],
-    reach[b]) decides which f(c) close no cycle and add no second loop,
-    and each f(c) = v leaves a pair (reach[a], reach[b]) that decides the
-    same for (f(a), f(b)).  The pair cache holds, per pair of reaches, the
-    allowed (f(a), f(b)) in lexicographic order as the folded values
-    op(rows[a][f(a)], rows[b][f(b)]); the triple cache holds, per triple,
-    the allowed v in order as rows[c][v] and the pair entry that v leaves.
-    So a search leaf folds op(acc, rows[c][v]) once per v and then one op
+    when it returns.  The last three vertices are placed from one cache.
+    Once f(0), ..., f(n-4) are set, every path ends at n-3, n-2, n-1 or
+    the loop, so the reaches of the open vertices x, ..., n-1 decide which
+    f(x) close no cycle and add no second loop, and each f(x) = v leaves
+    the reaches of x+1, ..., n-1 (reach[x] joins the one that holds v, if
+    one does).  The cache is keyed by that tuple of reaches.  For x = n-1
+    it holds the allowed rows[n-1][f(n-1)]; for x = n-2 the allowed
+    (f(n-2), f(n-1)) in lexicographic order as the folded values
+    op(rows[n-2][f(n-2)], rows[n-1][f(n-1)]); for x = n-3 the allowed v
+    in order as rows[n-3][v] beside the pair entry that v leaves.  So a
+    search leaf folds op(acc, rows[n-3][v]) once per v and then one op
     per tree (at n = 3 nothing is assigned, and the fold starts at
-    rows[c][v]; at n = 2 the pairs are the folds).  A leaf's folds are
-    one run of C iterators, and the runs are chained, so no tree passes
-    through a Python frame.
+    rows[0][v]; at n = 1 and n = 2 the first vertex's entry holds the
+    folds).  A leaf's folds are one run of C iterators, and the runs are
+    chained, so no tree passes through a Python frame.
     """
     if not rows:
         raise ValueError("need n >= 1")
@@ -198,67 +199,47 @@ def _tree_fold_runs(
 ) -> Iterator[Iterable[T]]:
     """The folds of tree_folds, one run per leaf of its search."""
     n = len(rows)
-    if n == 1:
-        yield (rows[0][0],)
-        return
     full = (1 << n) - 1
-    k = n - 3  # the search assigns f(0), ..., f(k-1)
-    c, a, b = k, k + 1, k + 2
-    pairs: dict[int, list[T]] = {}
+    tails: dict[tuple[int, ...], Any] = {}
 
-    def pair_folds(ra: int, rb: int) -> list[T]:
-        # f(a) takes the values outside ra, or a itself (the loop) when no
-        # vertex has one; then f(b) those outside b's reach, or b itself
-        # when there is still no loop
-        key = ra << n | rb
-        folds = pairs.get(key)
-        if folds is None:
-            folds = pairs[key] = []
-            rooted = ra | rb != full
-            for v in range(n):
-                if ra >> v & 1 and (v != a or rooted):
-                    continue
-                merged = rb | ra if rb >> v & 1 else rb  # b's reach once f(a) = v
-                ok = full ^ merged | (not rooted and v != a) << b
-                head = rows[a][v]
-                folds.extend(op(head, rows[b][u]) for u in range(n) if ok >> u & 1)
-        return folds
-
-    if n == 2:
-        yield pair_folds(1, 2)
-        return
-
-    def triple(rc: int, ra: int, rb: int) -> tuple[list[T], list[list[T]]]:
-        # f(c) = v as for f(a) above; c's reach then joins the reach of
-        # the vertex where v's path ends, or leaves them at the loop
-        rooted = rc | ra | rb != full
+    def tail(x: int, reaches: tuple[int, ...]) -> Any:
+        # The cache entry of the open vertices x, ..., n-1, whose reaches
+        # are reaches; callers look it up in tails first.  The reaches are
+        # disjoint, so their sum is their union, which misses a vertex once
+        # a loop is set.
+        rx, rest = reaches[0], reaches[1:]
+        rooted = sum(reaches) != full
         heads, entries = [], []
         for v in range(n):
-            if rc >> v & 1 and (v != c or rooted):
+            if rx >> v & 1 and (v != x or rooted):
                 continue
-            heads.append(rows[c][v])
-            if ra >> v & 1:
-                entries.append(pair_folds(ra | rc, rb))
-            elif rb >> v & 1:
-                entries.append(pair_folds(ra, rb | rc))
-            else:
-                entries.append(pair_folds(ra, rb))
-        return heads, entries
+            heads.append(rows[x][v])
+            if rest:  # x's reach joins the reach that holds v, if one does
+                joined = tuple([r | rx if r >> v & 1 else r for r in rest])
+                entries.append(tails.get(joined) or tail(x + 1, joined))
+        if x == n - 1:
+            entry = heads
+        elif x == n - 2:
+            entry = [op(head, t) for head, ts in zip(heads, entries) for t in ts]
+        else:
+            entry = heads, entries
+        tails[reaches] = entry
+        return entry
 
-    values = [0] * k
     reach = [1 << u for u in range(n)]
-    triples: dict[int, tuple[list[T], list[list[T]]]] = {}
+    if n < 3:
+        yield tail(0, tuple(reach))
+        return
+    k = n - 3  # the search assigns f(0), ..., f(k-1)
+    values = [0] * k
     repeat, chain = itertools.repeat, itertools.chain.from_iterable
 
     def search(i: int, acc: T, rooted: bool) -> Iterator[Iterable[T]]:
         # f(0), ..., f(i-1) are set, acc is their fold (i >= 1), and rooted
         # tells whether one of them is the loop
         if i == k:
-            key = (reach[c] << n | reach[a]) << n | reach[b]
-            entry = triples.get(key)
-            if entry is None:
-                entry = triples[key] = triple(reach[c], reach[a], reach[b])
-            heads, entries = entry
+            key = tuple(reach[k:])
+            heads, entries = tails.get(key) or tail(k, key)
             if k:
                 heads = map(op, repeat(acc), heads)
             yield chain(map(map, repeat(op), map(repeat, heads), entries))

@@ -79,6 +79,26 @@ class TestGammas:
         assert code == 0
         assert json.loads(out)["gammas"] == text.splitlines()[:-1]
 
+    def test_the_listing_is_written_as_the_kernel_returned_it(self, capsys, monkeypatch):
+        # the kernel's text is itself a piece of the output, so it is never
+        # copied into a joined text, and the bytes written are unchanged
+        from gracelab import expansion
+
+        returned = []
+        valid_gammas = expansion.valid_gammas
+
+        def capture(n):
+            returned.append(valid_gammas(n))
+            return returned[-1]
+
+        monkeypatch.setattr(expansion, "valid_gammas", capture)
+        code, pieces = cli._execute(["gammas", "--n", "8"])
+        assert code == 0
+        assert any(piece is returned[0] for piece in pieces)
+        code, out, _ = invoke(capsys, "gammas", "--n", "8")
+        assert code == 0
+        assert out == returned[1] + "\n144 = 3!*4!\n"
+
     def test_every_printed_gamma_passes_the_permutation_check(self, capsys, monkeypatch):
         from gracelab import expansion
 
@@ -504,6 +524,13 @@ class TestNeighborsCommand:
             "5:4,4,4,2,4",
             "5:4,4,4,4,4",
         ]
+
+    def test_no_lines_write_nothing(self, capsys):
+        code, out, _ = invoke(
+            capsys, "neighbors", "--graph", "5:0,0,0,0,0", "--limit", "0"
+        )
+        assert code == 0
+        assert out == ""
 
     def test_oracle_emits_missing_verbatim_and_fails(self, capsys):
         # the flip generator misses two star neighbors; the diff is emitted

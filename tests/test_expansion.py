@@ -201,6 +201,22 @@ class TestEnumerateValidGammas:
         with pytest.raises(ValueError, match=r"not a permutation of Z_7: 0,1,1$"):
             valid_gammas(7)
 
+    def test_a_head_that_repeats_a_value_raises(self, monkeypatch):
+        # index 1 is also offered value 0, and index 2 nothing on the values
+        # that head leaves: its block lists no line, so only the head's own
+        # signature check sees the repeated 0 (without it the listing
+        # silently shrinks to 18 of the 36 gammas)
+        values = expansion._values
+
+        def faulty(mask):
+            if mask == 0b0111110:
+                return [0, *values(mask)]
+            return [] if mask == 0b0011110 else values(mask)
+
+        monkeypatch.setattr(expansion, "_values", faulty)
+        with pytest.raises(ValueError, match=r"not a permutation of Z_7: 00$"):
+            valid_gammas(7)
+
     @pytest.mark.parametrize("n", range(2, 10))
     def test_count_matches_enumeration(self, n):
         assert len(enumerate_valid_gammas(n)) == count_valid_gammas(n)
