@@ -196,7 +196,8 @@ def _cmd_gammas(args) -> tuple[bool, dict | list[str]]:
     if args.limit is None:
         lines = [text]
     else:  # joined into one line: _execute writes each line apart
-        lines = text.split("\n", args.limit)[: args.limit]
+        # capped at the gammas listed: split takes no limit past a C ssize_t
+        lines = text.split("\n", min(args.limit, enumerated))[: args.limit]
         del text  # not held while its first lines are joined
         lines = ["\n".join(lines)] if lines else []
     lines.append(f"{enumerated} = {(n - 1) // 2}!*{n // 2}!")

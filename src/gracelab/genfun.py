@@ -366,10 +366,10 @@ def matrix_tree_sum(
     n = len(matrix)
     if n < 2:
         raise ValueError("need n >= 2")
-    laplacian = _row_sum_laplacian(matrix)
     h = n // 2
-    sym = [[row[j] + row[n - 1 - j] for j in range(h)] for row in laplacian[:h]]
-    anti = [[row[j] - row[n - 1 - j] for j in range(h)] for row in laplacian[:h]]
+    laplacian = _row_sum_laplacian(matrix[:h])  # the rows S and T read
+    sym = [[row[j] + row[n - 1 - j] for j in range(h)] for row in laplacian]
+    anti = [[row[j] - row[n - 1 - j] for j in range(h)] for row in laplacian]
     if n % 2:
         scale, det_sym = n, det_poly(sym, within)
     else:

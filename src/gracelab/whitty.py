@@ -1,7 +1,7 @@
 """Whitty's determinantal identity for gracefully labeled functional trees.
 
-Two banded matrices Lambda and Upsilon are filled from a symmetric weight
-matrix A; the product A[0,0] * det((Upsilon - Lambda)[1:,1:]) expands into
+Two banded matrices Lambda and Upsilon read a symmetric weight matrix A;
+the product A[0,0] * det((Upsilon - Lambda)[1:,1:]) expands into
 one signed term per gracefully labeled value table fixing 0, and the
 non-tree terms cancel, leaving a signed sum over gracefully labeled
 functional trees rooted at 0.
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
-from itertools import product
+from itertools import count, product
 from typing import Sequence, TypeVar
 
 from gracelab.digraph import (
@@ -36,8 +36,6 @@ __all__ = [
     "CALIBRATION",
     "Calibration",
     "WhittyCheck",
-    "WhittyMatrices",
-    "build_whitty",
     "sign_factor",
     "symbolic_matrix",
     "tree_sign",
@@ -48,43 +46,33 @@ __all__ = [
 T = TypeVar("T")
 
 
-class WhittyMatrices(namedtuple("WhittyMatrices", "lam upsilon")):
-    """The banded matrices; entries whose A-index leaves [0, n) are zero."""
+def _entry(matrix: Sequence[Sequence[T]], i: int, j: int) -> T:
+    # A is symmetric and read from its upper triangle only
+    return matrix[min(i, j)][max(i, j)]
 
-    __slots__ = ()
 
-
-def build_whitty(matrix: Sequence[Sequence[T]]) -> WhittyMatrices:
-    """Fill Lambda[i,j] = A[min(i+j-n, i), max(i+j-n, i)] (nonzero only for
-    i+j >= n) and Upsilon[i,j] = A[min(i, n+i-j), max(i, n+i-j)] (nonzero
-    only for j > i)."""
+def _minor(matrix: Sequence[Sequence[T]]) -> list[list[T]]:
+    """(Upsilon - Lambda)[1:, 1:], with Lambda[i,j] = A(i, i+j-n) and
+    Upsilon[i,j] = A(i, n+i-j), each zero where its A-index leaves [0, n)
+    (so Lambda lives on i+j >= n and Upsilon strictly above the diagonal)."""
     n = len(matrix)
     if n < 2 or any(len(row) != n for row in matrix):
         raise ValueError("need a square matrix with n >= 2")
     zero = 0 * matrix[0][0]
-    lam = []
-    ups = []
-    for i in range(n):
-        lam_row = []
-        ups_row = []
-        for j in range(n):
-            a = i + j - n
-            lam_row.append(matrix[min(a, i)][max(a, i)] if 0 <= a < n else zero)
-            b = n + i - j
-            ups_row.append(matrix[min(i, b)][max(i, b)] if 0 <= b < n else zero)
-        lam.append(tuple(lam_row))
-        ups.append(tuple(ups_row))
-    return WhittyMatrices(tuple(lam), tuple(ups))
+
+    def band(i: int, k: int) -> T:
+        return _entry(matrix, i, k) if 0 <= k < n else zero
+
+    return [
+        [band(i, n + i - j) - band(i, i + j - n) for j in range(1, n)]
+        for i in range(1, n)
+    ]
 
 
 def whitty_lhs(matrix: Sequence[Sequence[T]]) -> T:
     """A[0,0] times the determinant of the trailing (n-1) x (n-1) minor of
     Upsilon - Lambda (row and column 0 dropped)."""
-    n = len(matrix)
-    w = build_whitty(matrix)
-    minor = [
-        [w.upsilon[i][j] - w.lam[i][j] for j in range(1, n)] for i in range(1, n)
-    ]
+    minor = _minor(matrix)  # checks the shape before A[0,0] is read
     return matrix[0][0] * det_via_minor_expansion(minor)
 
 
@@ -125,21 +113,20 @@ def tree_sign(g: FunctionalDigraph) -> int:
 
 def _signed_tree_sums(matrix: Sequence[Sequence[T]]) -> tuple[T, T]:
     # Whitty's tree side, both readings in one walk: the sum over the
-    # gracefully labeled functional trees f rooted at 0 of
-    # prod A[min(i, f(i)), max(i, f(i))], signed once by sign_factor(f)
-    # (the label-signature reading) and once by tree_sign(f) (the reading
-    # the determinant side reproduces).  These trees are the tables with
-    # f(0) = 0 and label multiset Z_n whose iterate collapses to a point;
-    # graceful_tables built them so, so sign_factor's check is not repeated
-    # and each tree is signed by the cycle walk of its labels alone.
-    # Cell (i, j) is read once, from A[min(i, j), max(i, j)], as its
-    # (exponent, coefficient) terms (an int c is c * x^0).  A tree's entry
-    # product is expanded one term per entry; each expanded term is one
-    # exponent sum and one coefficient product, added with its sign into
-    # one exponent dict per reading.
+    # gracefully labeled functional trees f rooted at 0 of prod A(i, f(i)),
+    # signed once by sign_factor(f) (the label-signature reading) and once
+    # by tree_sign(f) (the reading the determinant side reproduces).  These
+    # trees are the tables with f(0) = 0 and label multiset Z_n whose
+    # iterate collapses to a point; graceful_tables built them so, so
+    # sign_factor's check is not repeated and each tree is signed by the
+    # cycle walk of its labels alone.  Cell (i, j) is read once, through
+    # _entry, as its (exponent, coefficient) terms (an int c is c * x^0).
+    # A tree's entry product is expanded one term per entry; each expanded
+    # term is one exponent sum and one coefficient product, added with its
+    # sign into one exponent dict per reading.
     n = len(matrix)
     cells = [
-        [(SparsePoly({0: 1}) * matrix[min(i, j)][max(i, j)]).items() for j in range(n)]
+        [(SparsePoly({0: 1}) * _entry(matrix, i, j)).items() for j in range(n)]
         for i in range(n)
     ]
     label, descent = Counter(), Counter()
@@ -158,19 +145,16 @@ def _signed_tree_sums(matrix: Sequence[Sequence[T]]) -> tuple[T, T]:
 def symbolic_matrix(n: int) -> tuple[tuple[SparsePoly, ...], ...]:
     """Symmetric matrix of distinct indeterminate entries.
 
-    Upper-triangle cell k carries the monomial x^((n+1)^k); any product of
-    up to n entries then has collision-free exponents (base-(n+1) digits
-    count cell multiplicities).
+    Upper-triangle cell k, numbered row by row, carries the monomial
+    x^((n+1)^k); any product of up to n entries then has collision-free
+    exponents (base-(n+1) digits count cell multiplicities).
     """
-    cells: dict[tuple[int, int], SparsePoly] = {}
-    k = 0
-    for i in range(n):
-        for j in range(i, n):
-            cells[(i, j)] = SparsePoly({(n + 1) ** k: 1})
-            k += 1
-    return tuple(
-        tuple(cells[(min(i, j), max(i, j))] for j in range(n)) for i in range(n)
-    )
+    k = count()
+    upper = [
+        [None] * i + [SparsePoly({(n + 1) ** next(k): 1}) for _ in range(i, n)]
+        for i in range(n)
+    ]
+    return tuple(tuple(_entry(upper, i, j) for j in range(n)) for i in range(n))
 
 
 def _column_reversal_parity(n: int) -> int:

@@ -10,7 +10,7 @@ milliseconds.
 import contextlib
 import io
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gracelab.cli import run
@@ -120,8 +120,17 @@ def _check(argv):
         assert out.getvalue() == "", argv
 
 
+# a --limit past the largest machine int, on a listing that is in range
+# (the derandomized draws never pair INTEGER's 10**20 with one)
+HUGE = str(10**20)
+
+
 @settings(max_examples=250, deadline=None, derandomize=True)
 @given(well_formed())
+@example(["gammas", "--n", "3", "--limit", HUGE])
+@example(["grl", "--graph", "4:0,0,0,0", "--limit", HUGE])
+@example(["sp", "--n", "3", "--limit", HUGE])
+@example(["neighbors", "--graph", "4:0,0,0,0", "--limit", HUGE])
 def test_well_formed_argvs_keep_the_exit_contract(argv):
     _check(argv)
 

@@ -16,8 +16,8 @@ from gracelab.whitty import (
     CALIBRATION,
     WhittyCheck,
     _cycle_sign,
+    _minor,
     _signed_tree_sums,
-    build_whitty,
     sign_factor,
     symbolic_matrix,
     tree_sign,
@@ -71,38 +71,35 @@ def general_entries(n):
 
 
 class TestBuild:
+    # _minor builds (Upsilon - Lambda)[1:, 1:]; minor[i - 1][j - 1] is the
+    # entry in row i, column j of the full matrix
     def test_n2_lambda_entry(self):
+        # Upsilon's A-index 2 is out of range; Lambda reads A(1, 0)
         a = integer_entries(2)
-        w = build_whitty(a)
-        assert w.lam[1][1] == a[0][1]
-        assert w.upsilon[1][1] == 0  # computed A-index 2 is out of range
+        assert _minor(a) == [[-a[0][1]]]
 
     def test_n3_upsilon_entries(self):
         a = integer_entries(3)
-        w = build_whitty(a)
-        assert w.upsilon[0][1] == a[0][2]
-        assert w.upsilon[0][2] == a[0][1]
-        assert w.upsilon[1][2] == a[1][2]
+        # row 1, column 2 of the full matrix is a[1][2] - a[0][1]
+        assert _minor(a) == [[0, a[1][2] - a[0][1]], [-a[0][2], -a[1][2]]]
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_band_structure(self, n):
-        # Lambda is supported on i+j >= n, Upsilon strictly above the diagonal
+        # Lambda is supported on i+j >= n, Upsilon strictly above the
+        # diagonal, and the two never read the same cell
         a = integer_entries(n)
-        w = build_whitty(a)
-        for i in range(n):
-            for j in range(n):
-                if i + j < n:
-                    assert w.lam[i][j] == 0
-                else:
-                    assert w.lam[i][j] != 0
-                if j <= i:
-                    assert w.upsilon[i][j] == 0
-                else:
-                    assert w.upsilon[i][j] != 0
+        minor = _minor(a)
+        assert len(minor) == n - 1
+        for i in range(1, n):
+            assert len(minor[i - 1]) == n - 1
+            for j in range(1, n):
+                assert (minor[i - 1][j - 1] == 0) == (j <= i and i + j < n)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
-            build_whitty([[1, 2, 3], [4, 5, 6]])
+            _minor([[1, 2, 3], [4, 5, 6]])
+        with pytest.raises(ValueError):
+            _minor([[7]])
 
 
 class TestSignFactor:
@@ -359,11 +356,7 @@ class TestWhittyCheck:
         from gracelab.genfun import det_via_minor_expansion
         from gracelab.whitty import _column_reversal_parity
 
-        a = integer_entries(n)
-        w = build_whitty(a)
-        minor = [
-            [w.upsilon[i][j] - w.lam[i][j] for j in range(1, n)] for i in range(1, n)
-        ]
+        minor = _minor(integer_entries(n))
         reversed_minor = [row[::-1] for row in minor]
         det = det_via_minor_expansion(minor)
         det_reversed = det_via_minor_expansion(reversed_minor)
